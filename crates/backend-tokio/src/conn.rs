@@ -140,7 +140,8 @@ impl DeliveryStats {
     }
 }
 
-/// Frozen [`DeliveryStats`], embedded in the run report.
+/// Frozen snapshot of the transport's delivery counters, embedded in the
+/// run report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[allow(missing_docs)] // field-for-field mirror of DeliveryStats
 pub struct DeliveryReport {

@@ -10,7 +10,7 @@
 
 use dfl_crypto::curve::Secp256k1;
 use dfl_crypto::pedersen::{CommitKey, Commitment};
-use dfl_crypto::quantize::{decode, encode, to_scalars, Quantized};
+use dfl_crypto::quantize::{decode, encode, sum_quantized, to_scalars, Quantized};
 
 use crate::error::IplsError;
 use crate::protocol::Actions;
@@ -59,30 +59,18 @@ pub fn decode_update(blob: &[u8]) -> Option<(Vec<f32>, u64)> {
 
 /// Element-wise sum of decoded gradient vectors (values and counters alike).
 ///
-/// Accumulates in `i128` and reports overflow explicitly: a sum past the
-/// `i64` fixed-point range would previously saturate silently, which both
-/// skews the averaged update and breaks the homomorphic commitment check
-/// (the commitments accumulate the TRUE sum, not the clamped one).
+/// The exact `i128` sum of [`sum_quantized`], the same one storage-side
+/// merges use, with overflow reported explicitly: a sum past the `i64`
+/// fixed-point range would both skew the averaged update and break the
+/// homomorphic commitment check (the commitments accumulate the TRUE sum,
+/// not a clamped one).
 ///
 /// # Panics
 ///
 /// Panics if the vectors differ in length or the input is empty.
 pub fn sum_gradients(grads: &[Vec<Quantized>]) -> Result<Vec<Quantized>, IplsError> {
     assert!(!grads.is_empty(), "nothing to sum");
-    let mut acc: Vec<i128> = grads[0].iter().map(|q| q.0 as i128).collect();
-    for g in &grads[1..] {
-        assert_eq!(g.len(), acc.len(), "gradient length mismatch");
-        for (a, b) in acc.iter_mut().zip(g) {
-            *a += b.0 as i128;
-        }
-    }
-    acc.into_iter()
-        .map(|v| {
-            i64::try_from(v)
-                .map(Quantized)
-                .map_err(|_| IplsError::Overflow)
-        })
-        .collect()
+    sum_quantized(grads).ok_or(IplsError::Overflow)
 }
 
 /// Commits to a blob's quantized vector (including the counter element).

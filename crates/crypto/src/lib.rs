@@ -37,7 +37,7 @@
 //!
 //! // The directory accumulates commitments; the aggregator sums gradients.
 //! let accumulated = Commitment::accumulate([&c1, &c2]);
-//! let aggregated = sum_quantized(&[g1, g2]);
+//! let aggregated = sum_quantized(&[g1, g2]).expect("honest sums fit in i64");
 //!
 //! // Verification: the aggregate opens the accumulated commitment, so no
 //! // gradient was dropped or altered.

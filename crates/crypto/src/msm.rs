@@ -8,8 +8,9 @@
 //! * [`Strategy::Naive`] — one plain double-and-add per term, summed. This
 //!   models the paper's "rather straight-forward" Bouncy Castle
 //!   implementation and is the baseline in the `ablate_msm` bench.
-//! * [`Strategy::Wnaf`] — per-term width-5 wNAF ladder; a modest
-//!   constant-factor improvement.
+//! * [`Strategy::Wnaf`] — interleaved width-5 wNAF (Straus): one doubling
+//!   chain shared by every term. The small-MSM kernel: `Auto` picks it
+//!   below 32 points, e.g. the commitment side of a batch check.
 //! * [`Strategy::Pippenger`] — bucket method with an adaptive window and
 //!   Jacobian bucket accumulation, the multi-exponentiation optimization
 //!   the paper cites as future work ([Möller '01; Borges et al. '17]).
@@ -23,6 +24,11 @@
 //!   **single** batch-affine bucket pass with no doubling chain at all.
 //!   This is the commitment fast path; [`crate::pedersen::CommitKey`]
 //!   builds one per task.
+//!
+//! The table and wNAF kernels read scalars in sign-magnitude form: a
+//! canonical `k > (n−1)/2` is `−(n−k)`. A negative quantized gradient
+//! value `v` is embedded as `n − |v|`, a full-width scalar; read as `−|v|`
+//! it costs what `|v|` does.
 //!
 //! With the `rayon` feature enabled, the batch-affine and table kernels
 //! chunk the scalar vector across threads and fold the per-chunk partial
@@ -41,8 +47,9 @@
 //! assert_eq!(sum, Secp256k1::generator().mul(&Scalar::<Secp256k1>::from_u64(10)));
 //! ```
 
-use crate::curve::{Affine, Curve, Jacobian, Scalar};
-use crate::field::Fp;
+use crate::bigint::U256;
+use crate::curve::{wnaf_digits, Affine, Curve, Jacobian, Scalar};
+use crate::field::{FieldParams, Fp};
 
 /// `true` when the crate was built with the `rayon` feature, i.e. when
 /// [`Msm::with_parallel`]`(true)` actually runs multi-threaded. Lets
@@ -56,7 +63,9 @@ pub const fn parallel_enabled() -> bool {
 pub enum Strategy {
     /// Independent binary double-and-add per term (the paper's baseline).
     Naive,
-    /// Per-term width-5 wNAF ladder.
+    /// Interleaved width-5 wNAF (Straus): one doubling chain shared by
+    /// every term, as long as the largest sign-magnitude scalar; each term
+    /// adds its precomputed odd multiple on its nonzero digits.
     Wnaf,
     /// Bucket method with Jacobian bucket accumulation.
     Pippenger,
@@ -177,12 +186,13 @@ impl<'a, C: Curve> Msm<'a, C> {
 /// For each base point `Pᵢ` the table stores the shifted points
 /// `2^(w·c)·Pᵢ` for every `c`-bit digit window `w` (`c` =
 /// [`MsmTable::window`], chosen at build time to minimize the evaluation
-/// cost for the set's size). Every 256-bit scalar then decomposes into
-/// digits that each select *one* precomputed point, so evaluation is a
-/// single bucket-accumulation pass over `n·⌈256/c⌉` points followed by one
-/// running sum — no doubling chain. Bucket contents are summed in affine
-/// coordinates with a shared batched inversion per round
-/// ([`Fp::batch_invert`]).
+/// cost for the set's size). Every scalar then decomposes into digits of
+/// its sign-magnitude form that each select *one* precomputed point
+/// (negated for a negative scalar), so evaluation is a single
+/// bucket-accumulation pass over at most `n·⌈b/c⌉` points for magnitudes
+/// below `2^b` (`b ≤ 255`), followed by one running sum — no doubling
+/// chain. Bucket contents are summed in affine coordinates with a shared
+/// batched inversion per round ([`Fp::batch_invert`]).
 ///
 /// Build cost is ~256 doublings per point (about one naive scalar
 /// multiplication per point) plus one batch normalization, paid once per
@@ -296,18 +306,21 @@ impl<C: Curve> MsmTable<C> {
 
     /// Serial kernel over the scalar index range `range`: one bucket pass
     /// over every (point, digit) pair, then a single running sum.
+    ///
+    /// Scalars are read in sign-magnitude form ([`signed_magnitude`]): a
+    /// negative scalar `−m` walks only the `⌈bit_len(m)/c⌉` digit windows
+    /// of its magnitude and drops the negated shift `−2^(w·c)·Pᵢ` (one
+    /// field negation) into the digit's bucket.
     fn eval_chunk(&self, scalars: &[Scalar<C>], range: std::ops::Range<usize>) -> Jacobian<C> {
         let mut buckets: Vec<Vec<Affine<C>>> = vec![Vec::new(); (1 << self.window) - 1];
         for i in range {
-            let k = scalars[i].to_canonical();
-            if k.is_zero() {
-                continue;
-            }
-            let row = &self.shifts[i * self.digits..(i + 1) * self.digits];
+            let (m, negative) = signed_magnitude(&scalars[i]);
+            let windows = m.bit_len().div_ceil(self.window);
+            let row = &self.shifts[i * self.digits..i * self.digits + windows];
             for (w, shift) in row.iter().enumerate() {
-                let digit = k.bits(w * self.window, self.window) as usize;
+                let digit = m.bits(w * self.window, self.window) as usize;
                 if digit != 0 && !shift.is_identity() {
-                    buckets[digit - 1].push(*shift);
+                    buckets[digit - 1].push(if negative { shift.negate() } else { *shift });
                 }
             }
         }
@@ -337,11 +350,58 @@ fn naive<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>]) -> Jacobian<C> {
     acc
 }
 
-/// Per-term width-5 wNAF ladder, summed.
+/// Reads a scalar as a signed integer: its canonical value `k` when
+/// `k ≤ (n−1)/2`, otherwise `−(n−k)`. Returns the magnitude and whether
+/// the value is negative. The quantized gradient embedding maps `−|v|` to
+/// `n − |v|`, so this turns those full-width scalars back into `|v|`.
+fn signed_magnitude<P: FieldParams>(k: &Fp<P>) -> (U256, bool) {
+    let k = k.to_canonical();
+    let n = P::MODULUS;
+    if k.const_cmp(&n.shr(1)) > 0 {
+        (n.wrapping_sub(&k), true)
+    } else {
+        (k, false)
+    }
+}
+
+/// Interleaved width-5 wNAF (Straus): one doubling chain shared by every
+/// term, each term adding its precomputed odd multiple `±d·Pᵢ` on its
+/// nonzero digits. Terms run on their sign-magnitude form, so the chain is
+/// as long as the largest magnitude.
 fn wnaf<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>]) -> Jacobian<C> {
-    let mut acc = Jacobian::identity();
+    const W: u32 = 5;
+    // Odd multiples 1P, 3P, …, (2^(W−1) − 1)P: every digit magnitude.
+    const ODD: usize = 1 << (W - 2);
+    let mut nafs = Vec::with_capacity(points.len());
+    let mut multiples = Vec::with_capacity(points.len() * ODD);
     for (p, k) in points.iter().zip(scalars) {
-        acc = acc.add(&p.mul(k));
+        let (m, negative) = signed_magnitude(k);
+        if m.is_zero() || p.is_identity() {
+            continue;
+        }
+        let p = if negative { p.negate() } else { *p }.to_jacobian();
+        let twice = p.double();
+        multiples.push(p);
+        for _ in 1..ODD {
+            let next = multiples[multiples.len() - 1].add(&twice);
+            multiples.push(next);
+        }
+        nafs.push(wnaf_digits(&m, W));
+    }
+    let multiples = Jacobian::batch_normalize(&multiples);
+    let len = nafs.iter().map(Vec::len).max().unwrap_or(0);
+    let mut acc = Jacobian::identity();
+    for i in (0..len).rev() {
+        acc = acc.double();
+        for (t, naf) in nafs.iter().enumerate() {
+            let digit = naf.get(i).copied().unwrap_or(0);
+            let odd = &multiples[t * ODD + digit.unsigned_abs() as usize / 2];
+            if digit > 0 {
+                acc = acc.add_affine(odd);
+            } else if digit < 0 {
+                acc = acc.add_affine(&odd.negate());
+            }
+        }
     }
     acc
 }
@@ -358,8 +418,14 @@ fn pippenger_jacobian<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>]) -> 
         return Jacobian::identity();
     }
     let c = window_size(n);
-    let windows = 256usize.div_ceil(c);
     let canonical: Vec<_> = scalars.iter().map(|s| s.to_canonical()).collect();
+    // Windows above the longest scalar hold only zero digits.
+    let windows = canonical
+        .iter()
+        .map(U256::bit_len)
+        .max()
+        .unwrap_or(0)
+        .div_ceil(c);
 
     let mut window_sums = Vec::with_capacity(windows);
     for w in 0..windows {
@@ -394,8 +460,14 @@ fn pippenger_batch_affine<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>])
         return Jacobian::identity();
     }
     let c = window_size(n);
-    let windows = 256usize.div_ceil(c);
     let canonical: Vec<_> = scalars.iter().map(|s| s.to_canonical()).collect();
+    // Windows above the longest scalar hold only zero digits.
+    let windows = canonical
+        .iter()
+        .map(U256::bit_len)
+        .max()
+        .unwrap_or(0)
+        .div_ceil(c);
 
     let mut window_sums = Vec::with_capacity(windows);
     for w in 0..windows {

@@ -193,18 +193,26 @@ impl<C: Curve> CommitKey<C> {
     }
 
     /// Verifies a whole batch of openings with one random linear
-    /// combination: sample coefficients `rᵢ`, check that
+    /// combination (the small-exponent batch test of Bellare–Garay–Rabin
+    /// '98): sample 128-bit coefficients `rᵢ`, check that
     /// `commit(Σ rᵢ·vᵢ) = Σ rᵢ·Cᵢ`. One length-`width` MSM plus one
-    /// `k`-point Pippenger MSM replaces `k` full MSMs — the §VI
+    /// `k`-point MSM over 128-bit scalars replaces `k` full MSMs — the §VI
     /// "minimize the query load of the directory service" direction, since
     /// a node can batch every opening of a round boundary into one check.
+    /// For quantized gradients (magnitudes below 2⁶³) the combined vector
+    /// has magnitudes below `k·2¹⁹¹`, which the sign-magnitude table walk
+    /// covers in `⌈(191 + log₂ k)/c⌉` digit windows instead of `⌈256/c⌉`.
     ///
     /// Sound for adversarially chosen inputs: if any pair fails
-    /// individually, the batched identity holds with probability ≤ 1/2¹²⁸
-    /// over the coefficients, which are derived by hashing a transcript of
-    /// the full input (Fiat–Shamir style), so the prover cannot choose
-    /// openings after seeing them. Entries longer than the key can never
-    /// verify and fail the batch outright.
+    /// individually, its commitment defect `Dᵢ = commit(vᵢ) − Cᵢ` is a
+    /// nonzero element of a prime-order group, so for any fixed other
+    /// coefficients at most one of the 2¹²⁸ values of `rᵢ` (all distinct
+    /// modulo the group order) makes `Σ rᵢ·Dᵢ` vanish: the batched
+    /// identity holds with probability ≤ 2⁻¹²⁸. The coefficients are
+    /// derived by hashing a transcript of the full input (Fiat–Shamir
+    /// style), so the prover cannot choose openings after seeing them.
+    /// Entries longer than the key can never verify and fail the batch
+    /// outright.
     ///
     /// With the `rayon` feature the transcript hashing and the scalar
     /// accumulation shard across threads; field arithmetic is exact, so
@@ -221,8 +229,8 @@ impl<C: Curve> CommitKey<C> {
         {
             return false;
         }
-        let coeffs = self.batch_coefficients(entries);
         let points = normalized_points(entries);
+        let coeffs = self.batch_coefficients(entries, &points);
         let idxs: Vec<usize> = (0..entries.len()).collect();
         self.check_subset(entries, &coeffs, &points, &idxs)
     }
@@ -245,8 +253,8 @@ impl<C: Curve> CommitKey<C> {
             (0..entries.len()).partition(|&i| entries[i].values.len() > self.generators.len());
         let mut culprits = overlong;
         if !in_range.is_empty() {
-            let coeffs = self.batch_coefficients(entries);
             let points = normalized_points(entries);
+            let coeffs = self.batch_coefficients(entries, &points);
             self.bisect(entries, &coeffs, &points, &in_range, &mut culprits);
         }
         culprits.sort_unstable();
@@ -255,13 +263,19 @@ impl<C: Curve> CommitKey<C> {
 
     /// Fiat–Shamir coefficients for a batch: hash each entry to a leaf
     /// digest, chain the leaves (in index order) into a root, and derive
-    /// `rᵢ = H(root ‖ i)` reduced into the scalar field. Leaves hash the
-    /// binding bytes when present (cheaper than 32 B per scalar) and the
-    /// scalar encodings otherwise; per-leaf hashing is independent, so it
-    /// shards across threads while the root stays index-ordered and
-    /// bit-identical.
-    fn batch_coefficients(&self, entries: &[BatchEntry<'_, C>]) -> Vec<Scalar<C>> {
-        let leaf = |e: &BatchEntry<'_, C>| -> [u8; 32] {
+    /// `rᵢ` as the first 16 bytes of `H(root ‖ i)`, a 128-bit integer.
+    /// Leaves hash the binding bytes when present (cheaper than 32 B per
+    /// scalar) and the scalar encodings otherwise; per-leaf hashing is
+    /// independent, so it shards across threads while the root stays
+    /// index-ordered and bit-identical. `points` are the entries'
+    /// commitments already in affine form, so each leaf's compressed
+    /// commitment costs no inversion of its own.
+    fn batch_coefficients(
+        &self,
+        entries: &[BatchEntry<'_, C>],
+        points: &[Affine<C>],
+    ) -> Vec<Scalar<C>> {
+        let leaf = |(e, point): &(BatchEntry<'_, C>, Affine<C>)| -> [u8; 32] {
             let mut h = Sha256::new();
             h.update(&(e.values.len() as u64).to_be_bytes());
             match e.binding {
@@ -279,13 +293,18 @@ impl<C: Curve> CommitKey<C> {
                     }
                 }
             }
-            h.update(&e.commitment.to_bytes());
+            h.update(&point.to_compressed());
             h.finalize()
         };
-        let leaves = hash_leaves(entries, &leaf);
+        let items: Vec<_> = entries
+            .iter()
+            .copied()
+            .zip(points.iter().copied())
+            .collect();
+        let leaves = hash_leaves(&items, &leaf);
 
         let mut transcript = Sha256::new();
-        transcript.update(b"dfl-pedersen-batch-v2");
+        transcript.update(b"dfl-pedersen-batch-v3");
         transcript.update(&self.seed);
         transcript.update(&(entries.len() as u64).to_be_bytes());
         for digest in &leaves {
@@ -298,12 +317,12 @@ impl<C: Curve> CommitKey<C> {
                 let mut h = Sha256::new();
                 h.update(&root);
                 h.update(&(i as u64).to_be_bytes());
-                // A uniform 256-bit value reduced once; bias ≤ 2⁻¹²⁸ for
-                // the secp group orders.
-                Scalar::<C>::from_canonical(
-                    crate::bigint::U256::from_be_bytes(h.finalize())
-                        .reduce_once(&<C::Scalar as crate::field::FieldParams>::MODULUS),
-                )
+                // A uniform 128-bit coefficient: the small-exponent batch
+                // test's soundness error is 2⁻¹²⁸, and the RLC MSMs run
+                // over 128-bit (rather than 256-bit) scalars.
+                let digest = h.finalize();
+                let r = u128::from_be_bytes(digest[..16].try_into().expect("16-byte prefix"));
+                Scalar::<C>::from_canonical(U256::from_u128(r))
             })
             .collect()
     }
@@ -464,12 +483,8 @@ fn accumulate_values<C: Curve>(
 /// Hashes one transcript leaf per entry, in index order. Leaves are
 /// independent, so under the `rayon` feature they shard across threads;
 /// the output vector order (and thus the root) is identical either way.
-fn hash_leaves<C: Curve>(
-    entries: &[BatchEntry<'_, C>],
-    leaf: &(dyn Fn(&BatchEntry<'_, C>) -> [u8; 32] + Sync),
-) -> Vec<[u8; 32]> {
-    let serial =
-        |chunk: &[BatchEntry<'_, C>]| -> Vec<[u8; 32]> { chunk.iter().map(leaf).collect() };
+fn hash_leaves<T: Sync>(entries: &[T], leaf: &(dyn Fn(&T) -> [u8; 32] + Sync)) -> Vec<[u8; 32]> {
+    let serial = |chunk: &[T]| -> Vec<[u8; 32]> { chunk.iter().map(leaf).collect() };
     #[cfg(feature = "rayon")]
     if entries.len() >= 2 * crate::msm::MIN_PARALLEL_CHUNK {
         return join_merge(
@@ -1005,6 +1020,86 @@ mod tests {
             .collect();
         assert!(!r1.batch_check(&e));
         assert_eq!(r1.batch_culprits(&e), vec![2]);
+    }
+
+    #[test]
+    fn batch_coefficients_are_128_bit() {
+        let key = key(6);
+        let (vectors, commits) = corrupted_batch(&key, 40, &[3], 180);
+        let e = entries(&vectors, &commits);
+        let points = normalized_points(&e);
+        let coeffs = key.batch_coefficients(&e, &points);
+        assert_eq!(coeffs.len(), 40);
+        let bound = U256::ONE.shl(128);
+        for r in &coeffs {
+            assert!(
+                r.to_canonical() < bound,
+                "coefficient {r:?} is not below 2^128"
+            );
+        }
+        // Distinct per index, and bound to the transcript.
+        assert_ne!(coeffs[0], coeffs[1]);
+        let (other, other_commits) = corrupted_batch(&key, 40, &[], 180);
+        let e2 = entries(&other, &other_commits);
+        assert_ne!(coeffs, key.batch_coefficients(&e2, &normalized_points(&e2)));
+    }
+
+    /// A quantized-gradient-shaped vector: signed fixed-point values, so
+    /// about half the scalars are embedded as `n − |v|`.
+    fn mixed_sign_vector<C: crate::curve::Curve>(n: usize, rng: &mut StdRng) -> Vec<Scalar<C>> {
+        use rand::Rng;
+        (0..n)
+            .map(|_| {
+                let bits = rng.gen_range(1u32..63);
+                crate::quantize::Quantized(rng.gen_range(-(1i64 << bits)..(1i64 << bits)))
+                    .to_scalar::<C>()
+            })
+            .collect()
+    }
+
+    /// Plants 1–3 culprits among mixed-sign quantized openings and checks
+    /// that `batch_culprits` names exactly the entries whose direct
+    /// `verify` fails.
+    fn culprits_match_direct_verify<C: crate::curve::Curve>(key: &CommitKey<C>, seed: u64) {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(4usize..12);
+        let vectors: Vec<Vec<Scalar<C>>> = (0..n)
+            .map(|_| mixed_sign_vector::<C>(key.len(), &mut rng))
+            .collect();
+        let mut commits: Vec<Commitment<C>> = vectors.iter().map(|v| key.commit(v)).collect();
+        let planted = rng.gen_range(1usize..4);
+        for _ in 0..planted {
+            let i = rng.gen_range(0..n);
+            // Negate one element and add one (so a zero changes too): the
+            // altered scalar lands on the other side of the sign boundary.
+            let mut altered = vectors[i].clone();
+            let j = rng.gen_range(0..key.len());
+            altered[j] = -altered[j];
+            altered[j] += Scalar::<C>::ONE;
+            commits[i] = key.commit(&altered);
+        }
+        let direct: Vec<usize> = (0..n)
+            .filter(|&i| !key.verify(&vectors[i], &commits[i]))
+            .collect();
+        assert!(!direct.is_empty());
+        let e: Vec<BatchEntry<'_, C>> = vectors
+            .iter()
+            .zip(&commits)
+            .map(|(v, c)| BatchEntry::new(v, c))
+            .collect();
+        assert!(!key.batch_check(&e));
+        assert_eq!(key.batch_culprits(&e), direct, "{} seed {seed}", C::NAME);
+    }
+
+    #[test]
+    fn batch_culprits_match_verify_on_mixed_sign_vectors() {
+        let k1 = CommitKey::<Secp256k1>::setup_precomputed(9, b"mixed-k1");
+        let r1 = CommitKey::<Secp256r1>::setup_precomputed(9, b"mixed-r1");
+        for seed in 0..6 {
+            culprits_match_direct_verify(&k1, 200 + seed);
+            culprits_match_direct_verify(&r1, 300 + seed);
+        }
     }
 
     proptest! {

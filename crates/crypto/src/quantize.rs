@@ -12,6 +12,11 @@
 //! Aggregators sum *quantized* values, the directory verifies commitments
 //! over the same quantized domain, and trainers dequantize after download,
 //! so the verifiable path and the numeric path can never diverge.
+//!
+//! The embedding stays `n − |v|` on the wire and in every commitment, but
+//! the MSM kernels ([`crate::msm`]) read canonical scalars above `n/2` as
+//! the negative magnitude `−|v|`, so a negative value costs a commitment
+//! what its magnitude does rather than a full 256-bit scalar.
 
 use crate::bigint::U256;
 use crate::curve::{Curve, Scalar};
@@ -43,12 +48,6 @@ impl Quantized {
     /// Recovers the real value.
     pub fn to_f64(self) -> f64 {
         self.0 as f64 / SCALE
-    }
-
-    /// Saturating addition (sums of honest gradients never saturate; the
-    /// guard exists so adversarial inputs cannot cause UB-adjacent wrapping).
-    pub fn saturating_add(self, rhs: Quantized) -> Quantized {
-        Quantized(self.0.saturating_add(rhs.0))
     }
 
     /// Embeds the signed value into the scalar field of curve `C`.
@@ -89,21 +88,29 @@ pub fn dequantize_vector(values: &[Quantized]) -> Vec<f32> {
 
 /// Element-wise sum of quantized vectors (the aggregation operation).
 ///
+/// Accumulates in `i128`, so the result is the exact sum in any order, and
+/// returns `None` when an element's sum leaves the `i64` fixed-point range.
+/// A clamped sum would not open the accumulated commitment (which commits
+/// to the true sum), so overflow is an error rather than a saturation.
+/// The sum of no vectors is the empty vector.
+///
 /// # Panics
 ///
 /// Panics if the vectors have different lengths.
-pub fn sum_quantized(vectors: &[Vec<Quantized>]) -> Vec<Quantized> {
+pub fn sum_quantized(vectors: &[Vec<Quantized>]) -> Option<Vec<Quantized>> {
     let Some(first) = vectors.first() else {
-        return Vec::new();
+        return Some(Vec::new());
     };
-    let mut acc = first.clone();
+    let mut acc: Vec<i128> = first.iter().map(|q| i128::from(q.0)).collect();
     for v in &vectors[1..] {
         assert_eq!(v.len(), acc.len(), "gradient length mismatch");
         for (a, b) in acc.iter_mut().zip(v) {
-            *a = a.saturating_add(*b);
+            *a += i128::from(b.0);
         }
     }
-    acc
+    acc.into_iter()
+        .map(|a| i64::try_from(a).ok().map(Quantized))
+        .collect()
 }
 
 /// Converts a quantized vector into scalars for committing.
@@ -204,14 +211,29 @@ mod tests {
             quantize_vector(&[0.5, -1.0, 0.0]),
             quantize_vector(&[-0.25, 0.25, 1.0]),
         ];
-        let sum = sum_quantized(&vs);
+        let sum = sum_quantized(&vs).unwrap();
         let real = dequantize_vector(&sum);
         assert_eq!(real, vec![1.25, 1.25, 4.0]);
     }
 
     #[test]
     fn sum_of_empty_is_empty() {
-        assert!(sum_quantized(&[]).is_empty());
+        assert_eq!(sum_quantized(&[]), Some(Vec::new()));
+    }
+
+    #[test]
+    fn sum_overflow_is_reported_not_clamped() {
+        let max = vec![Quantized(i64::MAX)];
+        let one = vec![Quantized(1)];
+        assert_eq!(sum_quantized(&[max.clone(), one.clone()]), None);
+        assert_eq!(
+            sum_quantized(&[vec![Quantized(i64::MIN)], vec![Quantized(-1)]]),
+            None
+        );
+        // Exact in any order: an intermediate excursion past i64 that the
+        // final sum returns from is not an overflow.
+        let minus_one = vec![Quantized(-1)];
+        assert_eq!(sum_quantized(&[max.clone(), one, minus_one]), Some(max));
     }
 
     #[test]
@@ -232,7 +254,7 @@ mod tests {
         let g2 = quantize_vector(&[1.5, 1.0, -2.0, 3.0]);
         let c1 = key.commit(&to_scalars::<C>(&g1));
         let c2 = key.commit(&to_scalars::<C>(&g2));
-        let sum = sum_quantized(&[g1, g2]);
+        let sum = sum_quantized(&[g1, g2]).unwrap();
         assert_eq!(c1.combine(&c2), key.commit(&to_scalars::<C>(&sum)));
     }
 

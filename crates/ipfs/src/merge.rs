@@ -23,6 +23,10 @@ pub enum MergeError {
         found: usize,
         index: usize,
     },
+    /// An element's sum left the `i64` fixed-point range. Honest
+    /// gradients never get near it; a hostile blob can, and a clamped sum
+    /// would not open the accumulated commitment.
+    Overflow,
 }
 
 impl std::fmt::Display for MergeError {
@@ -37,6 +41,7 @@ impl std::fmt::Display for MergeError {
                 found,
                 index,
             } => write!(f, "blob {index} has {found} elements, expected {expected}"),
+            MergeError::Overflow => write!(f, "merged sum overflows the fixed-point range"),
         }
     }
 }
@@ -47,8 +52,8 @@ impl std::error::Error for MergeError {}
 ///
 /// # Errors
 ///
-/// Returns an error if the input is empty, any blob fails to decode, or the
-/// vectors disagree in length.
+/// Returns an error if the input is empty, any blob fails to decode, the
+/// vectors disagree in length, or an element's sum overflows `i64`.
 pub fn merge_blobs<B: AsRef<[u8]>>(blobs: &[B]) -> Result<Vec<u8>, MergeError> {
     if blobs.is_empty() {
         return Err(MergeError::Empty);
@@ -70,7 +75,9 @@ pub fn merge_blobs<B: AsRef<[u8]>>(blobs: &[B]) -> Result<Vec<u8>, MergeError> {
         }
         vectors.push(v);
     }
-    Ok(encode(&sum_quantized(&vectors)))
+    sum_quantized(&vectors)
+        .map(|sum| encode(&sum))
+        .ok_or(MergeError::Overflow)
 }
 
 #[cfg(test)]
@@ -124,6 +131,24 @@ mod tests {
                 index: 1
             })
         );
+    }
+
+    #[test]
+    fn overflowing_merge_is_an_error_not_a_clamp() {
+        let max = encode(&[Quantized(i64::MAX)]);
+        let one = encode(&[Quantized(1)]);
+        let minus_one = encode(&[Quantized(-1)]);
+        assert_eq!(
+            merge_blobs(&[max.clone(), one.clone()]),
+            Err(MergeError::Overflow)
+        );
+        let min = encode(&[Quantized(i64::MIN)]);
+        assert_eq!(
+            merge_blobs(&[min, minus_one.clone()]),
+            Err(MergeError::Overflow)
+        );
+        // The exact sum decides, not the order of accumulation.
+        assert_eq!(merge_blobs(&[max.clone(), one, minus_one]), Ok(max));
     }
 
     proptest! {

@@ -31,7 +31,7 @@ use crate::block::{Block, BlockStore};
 use crate::chunker::{self, Manifest};
 use crate::cid::Cid;
 use crate::kademlia::{closest_nodes, Key};
-use crate::merge::merge_blobs;
+use crate::merge::{merge_blobs, MergeError};
 
 /// Fixed per-message framing overhead charged on the simulated wire.
 pub const CONTROL_BYTES: u64 = 100;
@@ -372,6 +372,9 @@ pub mod stats {
     pub const CACHE_MISSES: &str = "ipfs/cache_misses";
     /// `Merge` RPCs received.
     pub const MERGE_RPCS: &str = "ipfs/merge_rpcs";
+    /// `Merge` RPCs refused because an element's sum overflowed `i64` —
+    /// remote input, answered with `MergeErr`.
+    pub const MERGE_OVERFLOWS: &str = "ipfs/merge_overflows";
     /// Blocks a merge had to retrieve from other providers.
     pub const MERGE_REMOTE_FETCHES: &str = "ipfs/merge_remote_fetches";
     /// Same-peer retransmissions after a timeout (backoff retries).
@@ -1390,13 +1393,18 @@ impl IpfsNode {
                     req_id: merge.client_req,
                 },
             }],
-            Err(e) => vec![Outgoing {
-                to: merge.client,
-                wire: IpfsWire::MergeErr {
-                    reason: e.to_string(),
-                    req_id: merge.client_req,
-                },
-            }],
+            Err(e) => {
+                if e == MergeError::Overflow {
+                    self.bump(stats::MERGE_OVERFLOWS);
+                }
+                vec![Outgoing {
+                    to: merge.client,
+                    wire: IpfsWire::MergeErr {
+                        reason: e.to_string(),
+                        req_id: merge.client_req,
+                    },
+                }]
+            }
         }
     }
 
@@ -1779,6 +1787,41 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn overflowing_merge_is_answered_and_booked() {
+        use dfl_crypto::quantize::{encode, Quantized};
+        let mut nodes = network(3);
+        let b1 = Bytes::from(encode(&[Quantized(i64::MAX)]));
+        let b2 = Bytes::from(encode(&[Quantized(1)]));
+        for (req_id, data) in [(1, &b1), (2, &b2)] {
+            let o = nodes[0].handle(
+                CLIENT,
+                IpfsWire::Put {
+                    data: data.clone(),
+                    req_id,
+                    replicate: 1,
+                },
+            );
+            pump(&mut nodes, o.into_iter().map(|o| (NodeId(0), o)).collect());
+        }
+        drained_stats(&mut nodes[0]);
+        let o = nodes[0].handle(
+            CLIENT,
+            IpfsWire::Merge {
+                cids: vec![Cid::of(&b1), Cid::of(&b2)],
+                req_id: 3,
+            },
+        );
+        let replies = pump(&mut nodes, o.into_iter().map(|o| (NodeId(0), o)).collect());
+        match &replies[..] {
+            [(_, IpfsWire::MergeErr { reason, req_id: 3 })] => {
+                assert_eq!(reason, &MergeError::Overflow.to_string());
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(drained_stats(&mut nodes[0])[stats::MERGE_OVERFLOWS], 1);
     }
 
     #[test]
