@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dfl_crypto::curve::{Affine, Curve, Jacobian, Scalar, Secp256k1, Secp256r1};
 use dfl_crypto::field::Fp;
 use dfl_crypto::msm::MsmTable;
-use dfl_crypto::pedersen::{CommitKey, Commitment};
+use dfl_crypto::pedersen::{BatchEntry, CommitKey, Commitment};
 use dfl_crypto::quantize::{encode, quantize_vector};
 use dfl_crypto::schnorr::SigningKey;
 use dfl_crypto::sha256::Sha256;
@@ -127,23 +127,23 @@ fn bench_verification(c: &mut Criterion) {
         })
         .collect();
     let commits: Vec<Commitment<Secp256k1>> = vectors.iter().map(|v| key.commit(v)).collect();
-    let items: Vec<(&[Scalar<Secp256k1>], &Commitment<Secp256k1>)> = vectors
+    let entries: Vec<BatchEntry<'_, Secp256k1>> = vectors
         .iter()
-        .map(Vec::as_slice)
-        .zip(commits.iter())
+        .zip(&commits)
+        .map(|(v, cm)| BatchEntry::new(v, cm))
         .collect();
 
     let mut group = c.benchmark_group("verification");
     group.sample_size(10);
     group.bench_function("individual_x8", |b| {
         b.iter(|| {
-            for (v, cm) in &items {
+            for (v, cm) in vectors.iter().zip(&commits) {
                 assert!(key.verify(v, cm));
             }
         })
     });
     group.bench_function("batched_x8", |b| {
-        b.iter(|| assert!(key.batch_verify(&items)))
+        b.iter(|| assert!(key.batch_check(&entries)))
     });
     group.finish();
 

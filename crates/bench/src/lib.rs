@@ -459,9 +459,9 @@ fn json_f64(v: f64) -> String {
 
 /// Before/after wall-clock of the commitment checks in one verifiable
 /// round: `trainers` gradient blobs of `elements` scalars each, verified
-/// one blob at a time (the arrival-order protocol path) versus with a
+/// one blob at a time (direct [`CommitKey::verify`] per blob) versus with a
 /// single random-linear-combination batch over the whole round (the
-/// `batch_verify` deferred queue, [`CommitKey::batch_culprits`] on the
+/// protocol's deferred queue, [`CommitKey::batch_culprits`] on the
 /// all-honest fast path).
 #[derive(Clone, Debug)]
 pub struct VerifiableRoundPoint {
@@ -1320,6 +1320,32 @@ fn swarm_sim(trainers: usize, reference: bool) -> dfl_netsim::engine::Simulation
     sim
 }
 
+/// Trace fingerprints of the five canonical configurations, each with the
+/// label `examples/trace_fingerprints` prints: the fig1 and fig2 delay
+/// experiments (1 024 parameters), fig2 with verifiable aggregation, fig2
+/// with trainer-side verification too (`fig2-batched`), and the 2k-trainer
+/// swarm. Any change that leaves observable behaviour alone leaves all five
+/// unchanged.
+pub fn canonical_fingerprints() -> [(&'static str, u64); 5] {
+    let params = 1_024;
+    let verifiable = TaskConfig {
+        verifiable: true,
+        ..fig2_config()
+    };
+    let trainer_verifies = TaskConfig {
+        trainer_verifies: true,
+        ..verifiable.clone()
+    };
+    let fingerprint = |cfg| trace_fingerprint(&run_network_experiment(cfg, params).trace);
+    [
+        ("fig1", fingerprint(fig1_config())),
+        ("fig2", fingerprint(fig2_config())),
+        ("fig2-verifiable", fingerprint(verifiable)),
+        ("fig2-batched", fingerprint(trainer_verifies)),
+        ("swarm-2k", swarm_trace_hash(2_000, false)),
+    ]
+}
+
 /// FNV-1a over every observable output of a run: each event's time, node,
 /// label name, and value bits, then every counter and per-node byte total.
 /// Two runs are behaviourally identical iff their fingerprints match
@@ -1468,7 +1494,6 @@ pub fn overlay_config(trainers: usize) -> TaskConfig {
         ipfs_nodes: 1,
         comm: CommMode::Direct,
         verifiable: true,
-        batch_verify: true,
         commit_precompute: true,
         overlay_branching: Some(OVERLAY_BRANCHING),
         rounds: 1,

@@ -42,8 +42,8 @@ use crate::chunked::{ChunkProgress, ChunkedClient, ManifestOutcome};
 use crate::config::{CommMode, Topology};
 use crate::error::IplsError;
 use crate::gradient::{
-    commit_blob, decode_blob, flush_verify_queue, sum_gradients, verify_blob_timed,
-    verify_blobs_timed, ProtocolCommitment, ProtocolCurve, ProtocolKey,
+    commit_blob, decode_blob, flush_verify_queue, sum_gradients, verify_blobs_timed,
+    ProtocolCommitment, ProtocolCurve, ProtocolKey,
 };
 use crate::labels;
 use crate::messages::{
@@ -125,7 +125,7 @@ pub struct Aggregator {
     /// Individual registered commitments by global trainer index (for
     /// degraded-quorum verification and recovered-gradient checks).
     commitments_seen: HashMap<usize, ProtocolCommitment>,
-    /// Deferred verification queue (`batch_verify` mode): own-set gradient
+    /// Deferred verification queue (verifiable mode): own-set gradient
     /// blobs admitted optimistically at arrival, settled with one RLC
     /// batch check when aggregation is about to consume them.
     pending_verify: Vec<(usize, Vec<u8>, ProtocolCommitment)>,
@@ -713,23 +713,15 @@ impl Aggregator {
         let Some(vector) = decode_blob(data) else {
             return;
         };
-        // In verifiable mode, check the blob against the trainer's
-        // registered commitment before trusting it.
-        if let (Some(key), Some((_, Some(commitment)))) =
-            (self.key.clone(), self.registered.get(&trainer).cloned())
-        {
-            if self.topo.config().batch_verify {
-                // Deferred mode: admit the vector optimistically and queue
-                // the blob; the flush in `maybe_aggregate` evicts it again
-                // if the batch check names it. Count it now — the instant
-                // the per-blob path verifies — so `blobs_verified` totals
-                // match per-blob mode even in rounds that never flush.
-                out.incr(labels::BLOBS_VERIFIED, 1);
-                self.pending_verify
-                    .push((trainer, data.to_vec(), commitment));
-            } else if !verify_blob_timed(out, &key, data, &commitment) {
-                return; // corrupt gradient; the poll loop will retry
-            }
+        // In verifiable mode, admit the vector optimistically and queue
+        // the blob against the trainer's registered commitment; the flush
+        // in `maybe_aggregate` evicts it again (and the poll loop refetches
+        // it) if the batch check names it. Count it now, so rounds that
+        // never flush still report it.
+        if let (Some(_), Some((_, Some(commitment)))) = (&self.key, self.registered.get(&trainer)) {
+            out.incr(labels::BLOBS_VERIFIED, 1);
+            self.pending_verify
+                .push((trainer, data.to_vec(), *commitment));
         }
         self.gradients.insert(trainer, vector);
         self.maybe_aggregate(out);
@@ -757,12 +749,11 @@ impl Aggregator {
             || (self.deadline_degraded && self.quorum_threshold().is_some_and(|th| have >= th))
     }
 
-    /// Settles the deferred verification queue (`batch_verify` mode): one
-    /// RLC batch check over every own-set blob admitted optimistically
-    /// since the last flush, bisecting on failure so exactly the corrupt
-    /// blobs are evicted from `gradients` — the same state an
-    /// arrival-time per-blob rejection leaves (`registered` keeps its
-    /// entry in both modes). Returns the number of culprits.
+    /// Settles the deferred verification queue: one RLC batch check over
+    /// every own-set blob admitted optimistically since the last flush,
+    /// bisecting on failure so exactly the corrupt blobs are evicted from
+    /// `gradients` (`registered` keeps its entry, so the poll loop
+    /// refetches them). Returns the number of culprits.
     fn flush_pending_verify(&mut self, out: &mut Actions<Msg>) -> usize {
         if self.pending_verify.is_empty() {
             return 0;
@@ -787,8 +778,8 @@ impl Aggregator {
     fn maybe_aggregate(&mut self, out: &mut Actions<Msg>) {
         if self.partial.is_some() {
             // Stragglers admitted after aggregation (quorum-degraded
-            // rounds) still get their deferred check here, at the same
-            // instant the per-blob path would have verified them.
+            // rounds) are checked here, as they arrive: no later round
+            // boundary would settle them.
             self.flush_pending_verify(out);
             return;
         }
@@ -801,10 +792,9 @@ impl Aggregator {
                     {
                         return;
                     }
-                    // Fallback fetches were admitted optimistically in
-                    // batch mode; settle them before summing. A convicted
-                    // blob simply drops out of the fallback set, exactly
-                    // as an arrival-time rejection would have kept it out.
+                    // Fallback fetches were admitted optimistically;
+                    // settle them before summing. A convicted blob simply
+                    // drops out of the fallback set.
                     self.flush_pending_verify(out);
                     // Merged blobs plus any gradients fetched individually
                     // after a failed merge, in deterministic trainer order.
@@ -837,9 +827,8 @@ impl Aggregator {
                     }
                     // The round boundary: settle the deferred batch, then
                     // re-check — an evicted culprit may put the set back
-                    // below quorum, in which case the round waits exactly
-                    // as it would have had the blob been rejected at
-                    // arrival.
+                    // below quorum, in which case the round waits for the
+                    // refetch.
                     if self.flush_pending_verify(out) > 0 {
                         have.retain(|t| self.gradients.contains_key(t));
                         if !self.have_enough(have.len(), needed.len()) {
@@ -1118,7 +1107,7 @@ impl Aggregator {
 
     /// Handles one peer partial. `verdict` carries a verification result
     /// precomputed by the batched stash drain ([`Self::retry_unverified`]);
-    /// `None` means verify here (the per-blob path).
+    /// `None` means verify here, as a singleton batch.
     fn process_peer_partial(
         &mut self,
         out: &mut Actions<Msg>,
@@ -1141,7 +1130,7 @@ impl Aggregator {
                             // Truly local invariant: verifiable() is the
                             // key's presence test, never remote input.
                             let key = self.key.as_ref().expect("verifiable").clone();
-                            verify_blob_timed(out, &key, data, &acc)
+                            verify_blobs_timed(out, &key, &[(data, &acc)]).is_empty()
                         }
                     };
                     if !valid {
@@ -1328,44 +1317,41 @@ impl Aggregator {
     }
 
     /// Re-runs verification for stashed peer partials and parked evidence
-    /// once new commitments or accumulators arrive. In `batch_verify` mode
-    /// the whole drain is checked with one RLC batch up front; the
-    /// per-item processing below then replays the per-blob event order
-    /// (convictions, inserts, sync completion) using the precomputed
-    /// verdicts, so both modes produce identical event streams and name
-    /// identical culprits.
+    /// once new commitments or accumulators arrive. The whole drain is
+    /// checked with one RLC batch up front; the per-item processing below
+    /// then applies the precomputed verdicts in slot order (convictions,
+    /// inserts, sync completion), so the event stream is the one a
+    /// one-at-a-time check would produce.
     fn retry_unverified(&mut self, out: &mut Actions<Msg>) {
         let mut stashed: Vec<(usize, Vec<u8>)> = self.unverified.drain().collect();
         stashed.sort_unstable_by_key(|(j, _)| *j); // deterministic order
         let mut verdicts: Vec<Option<bool>> = vec![None; stashed.len()];
-        if self.topo.config().batch_verify && !stashed.is_empty() {
-            if let Some(key) = self.key.clone() {
-                // Precompute only for items the per-item pass would verify
-                // now: announced, not settled, accumulator known. The rest
-                // keep `None` and re-stash below, as per-blob mode does.
-                let mut idx: Vec<usize> = Vec::new();
-                let mut accs: Vec<ProtocolCommitment> = Vec::new();
-                for (i, (j, _)) in stashed.iter().enumerate() {
-                    if self.partials.contains_key(j) || self.blacklist.contains(j) {
-                        continue;
-                    }
-                    let Some(ann) = self.announced.get(j) else {
-                        continue;
-                    };
-                    if let Some(acc) = self.expected_accumulator(ann) {
-                        idx.push(i);
-                        accs.push(acc);
-                    }
+        if let Some(key) = self.key.clone().filter(|_| !stashed.is_empty()) {
+            // Precompute only for items the per-item pass would verify now:
+            // announced, not settled, accumulator known. The rest keep
+            // `None` and re-stash below.
+            let mut idx: Vec<usize> = Vec::new();
+            let mut accs: Vec<ProtocolCommitment> = Vec::new();
+            for (i, (j, _)) in stashed.iter().enumerate() {
+                if self.partials.contains_key(j) || self.blacklist.contains(j) {
+                    continue;
                 }
-                let items: Vec<(&[u8], &ProtocolCommitment)> = idx
-                    .iter()
-                    .zip(&accs)
-                    .map(|(&i, acc)| (stashed[i].1.as_slice(), acc))
-                    .collect();
-                let culprits = verify_blobs_timed(out, &key, &items);
-                for (k, &i) in idx.iter().enumerate() {
-                    verdicts[i] = Some(!culprits.contains(&k));
+                let Some(ann) = self.announced.get(j) else {
+                    continue;
+                };
+                if let Some(acc) = self.expected_accumulator(ann) {
+                    idx.push(i);
+                    accs.push(acc);
                 }
+            }
+            let items: Vec<(&[u8], &ProtocolCommitment)> = idx
+                .iter()
+                .zip(&accs)
+                .map(|(&i, acc)| (stashed[i].1.as_slice(), acc))
+                .collect();
+            let culprits = verify_blobs_timed(out, &key, &items);
+            for (k, &i) in idx.iter().enumerate() {
+                verdicts[i] = Some(!culprits.contains(&k));
             }
         }
         for (i, (j, blob)) in stashed.iter().enumerate() {
@@ -1727,14 +1713,11 @@ impl Aggregator {
         // commitment: recovery must reproduce the honest partial exactly,
         // so a corrupt storage copy is refetched rather than summed.
         if let Some(key) = self.key.clone() {
-            let valid = match self.commitments_seen.get(&trainer).cloned() {
-                // Recovered blobs arrive as separate storage replies, so
-                // batch mode sees them as singleton batches — same ledger,
-                // same `WASTED_BYTES` timing on a corrupt copy.
-                Some(c) if self.topo.config().batch_verify => {
-                    verify_blobs_timed(out, &key, &[(data, &c)]).is_empty()
-                }
-                Some(c) => verify_blob_timed(out, &key, data, &c),
+            // Recovered blobs arrive as separate storage replies, so each
+            // is checked on arrival as a singleton batch and a corrupt copy
+            // is booked under `WASTED_BYTES` at once.
+            let valid = match self.commitments_seen.get(&trainer) {
+                Some(c) => verify_blobs_timed(out, &key, &[(data, c)]).is_empty(),
                 None => false,
             };
             if !valid {
@@ -1995,7 +1978,7 @@ impl Aggregator {
             .as_ref()
             .expect("overlay requires verifiable mode")
             .clone();
-        if !verify_blob_timed(out, &key, data, &point) {
+        if !verify_blobs_timed(out, &key, &[(data, &point)]).is_empty() {
             out.record(labels::OVERLAY_PARTIAL_REJECTED, trainer as f64);
             return;
         }

@@ -42,6 +42,15 @@ pub struct TaskConfig {
     /// How gradients reach aggregators.
     pub comm: CommMode,
     /// Enable verifiable aggregation with Pedersen commitments (§IV).
+    /// Verifiers queue the openings they receive and check each queue
+    /// with one random-linear-combination MSM
+    /// ([`CommitKey::batch_culprits`]) when the round is about to consume
+    /// it, bisecting a failing batch back to exactly the blobs that do not
+    /// open. Openings that arrive one at a time (peer partials, recovered
+    /// blobs, directory audits) are checked on arrival as singleton
+    /// batches, which cost one direct verification.
+    ///
+    /// [`CommitKey::batch_culprits`]: dfl_crypto::pedersen::CommitKey::batch_culprits
     pub verifiable: bool,
     /// Trainers register all partitions of a round in one batched message
     /// instead of one per partition — the §VI "send an accumulation over
@@ -51,7 +60,10 @@ pub struct TaskConfig {
     /// Trainers independently verify downloaded updates against the
     /// accumulated commitment instead of trusting the directory's check —
     /// §IV-B: "this can be performed by any participant (trainer or
-    /// bootstrapper)". Only meaningful with `verifiable`.
+    /// bootstrapper)". Downloaded updates are queued and checked in one
+    /// batch when the last partition arrives; a culprit is dropped and
+    /// refetched before the round may finish. Only meaningful with
+    /// `verifiable`.
     pub trainer_verifies: bool,
     /// Require Schnorr signatures on directory registrations. Without
     /// this, a malicious party can register a forged commitment under a
@@ -115,15 +127,6 @@ pub struct TaskConfig {
     /// (0 = commitments are free in simulated time; the real group
     /// operations still run when `verifiable` is set).
     pub commit_us_per_element: u64,
-    /// Defer commitment checks to round boundaries and verify each queue
-    /// with one random-linear-combination MSM ([`CommitKey::batch_check`]),
-    /// bisecting failures back to the exact per-blob culprits. Verdicts,
-    /// detection counters, and Misbehavior evidence are identical to the
-    /// per-blob path; only real-world wall-clock changes. Only meaningful
-    /// with `verifiable`.
-    ///
-    /// [`CommitKey::batch_check`]: dfl_crypto::pedersen::CommitKey::batch_check
-    pub batch_verify: bool,
     /// Build the commitment key's fixed-base MSM precomputation table at
     /// task start (one-time cost ≈ one scalar multiplication per
     /// generator), so every commit and verification in the run takes the
@@ -197,7 +200,6 @@ impl Default for TaskConfig {
             fetch_timeout: SimDuration::from_secs(30),
             commit_us_per_element: 0,
             commit_precompute: true,
-            batch_verify: false,
             overlay_branching: None,
             chunked_storage: false,
             chunk_size: dfl_ipfs::chunker::DEFAULT_CHUNK_SIZE,
@@ -280,10 +282,6 @@ impl TaskConfig {
         }
         if self.trainer_verifies && !self.verifiable {
             return err("trainer verification requires verifiable mode");
-        }
-        if self.batch_verify && !self.verifiable {
-            return err("batch_verify requires verifiable mode \
-                 (there are no commitments to batch otherwise)");
         }
         if let Some(q) = self.min_quorum {
             if !(1..=self.trainers).contains(&q) {
@@ -408,7 +406,6 @@ impl TaskConfigBuilder {
         fetch_timeout: SimDuration,
         commit_us_per_element: u64,
         commit_precompute: bool,
-        batch_verify: bool,
         overlay_branching: Option<usize>,
         chunked_storage: bool,
         chunk_size: usize,
@@ -753,21 +750,6 @@ mod tests {
             .comm(CommMode::Direct)
             .build()
             .is_ok());
-    }
-
-    #[test]
-    fn batch_verify_requires_verifiable() {
-        let err = TaskConfig::builder()
-            .batch_verify(true)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("batch_verify"));
-        let cfg = TaskConfig::builder()
-            .verifiable(true)
-            .batch_verify(true)
-            .build()
-            .unwrap();
-        assert!(cfg.batch_verify);
     }
 
     #[test]

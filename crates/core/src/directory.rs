@@ -28,9 +28,7 @@ use crate::accountability::{
 };
 use crate::chunked::{ChunkProgress, ChunkedClient, ManifestOutcome};
 use crate::config::Topology;
-use crate::gradient::{
-    verify_blob_timed, verify_blobs_timed, ProtocolCommitment, ProtocolCurve, ProtocolKey,
-};
+use crate::gradient::{verify_blobs_timed, ProtocolCommitment, ProtocolCurve, ProtocolKey};
 use crate::labels;
 use crate::messages::{
     batch_registration_message, registration_message, update_message, Msg, SignatureBytes,
@@ -493,15 +491,12 @@ impl Directory {
             out.incr(labels::MISSING_COMMIT_KEY, 1);
             return;
         };
+        // Audited updates arrive one storage reply at a time, so each is
+        // checked as a singleton batch; the virtual TK_VERIFY charge below
+        // models its simulated cost.
         let verdict = ok
             && match self.expected_for_update(pv.partition, pv.iter, &pv.contributors) {
-                // Audited updates arrive one storage reply at a time, so
-                // batch mode sees them as singleton batches; the ledger
-                // and the virtual TK_VERIFY charge below are unchanged.
-                Some(acc) if self.topo.config().batch_verify => {
-                    verify_blobs_timed(out, &key, &[(data, &acc)]).is_empty()
-                }
-                Some(acc) => verify_blob_timed(out, &key, data, &acc),
+                Some(acc) => verify_blobs_timed(out, &key, &[(data, &acc)]).is_empty(),
                 None => false, // not all gradients registered: incomplete
             };
         pv.verdict = verdict;

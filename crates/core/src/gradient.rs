@@ -96,27 +96,6 @@ pub fn verify_blob(key: &ProtocolKey, blob: &[u8], commitment: &ProtocolCommitme
     }
 }
 
-/// [`verify_blob`], recording the wall-clock cost into the run's
-/// [`labels::VERIFY_MS`](crate::labels::VERIFY_MS) histogram. Wall-clock
-/// time is real (not simulated) and varies run to run; determinism
-/// comparisons deliberately cover only events and byte counters.
-pub fn verify_blob_timed<M>(
-    out: &mut Actions<M>,
-    key: &ProtocolKey,
-    blob: &[u8],
-    commitment: &ProtocolCommitment,
-) -> bool {
-    let started = std::time::Instant::now();
-    let ok = verify_blob(key, blob, commitment);
-    out.observe(
-        crate::labels::VERIFY_MS,
-        started.elapsed().as_secs_f64() * 1e3,
-    );
-    out.incr(crate::labels::BLOBS_VERIFIED, 1);
-    out.observe(crate::labels::VERIFY_BATCHED, 1.0);
-    ok
-}
-
 /// Verifies a whole queue of `(blob, commitment)` pairs with one
 /// random-linear-combination check ([`CommitKey::batch_check`]), bisecting
 /// on failure so the returned indices are exactly the pairs that
@@ -125,17 +104,17 @@ pub fn verify_blob_timed<M>(
 /// determine the decoded scalars), which keeps transcript hashing at 8
 /// bytes per element.
 ///
-/// Books one [`labels::VERIFY_MS`](crate::labels::VERIFY_MS) sample for
-/// the whole flush, bumps
+/// Books one [`labels::VERIFY_MS`](crate::labels::VERIFY_MS) wall-clock
+/// sample for the whole flush, bumps
 /// [`labels::BLOBS_VERIFIED`](crate::labels::BLOBS_VERIFIED) by the queue
 /// length, and records the batch size under
-/// [`labels::VERIFY_BATCHED`](crate::labels::VERIFY_BATCHED) — the same
-/// ledger totals as running [`verify_blob_timed`] per blob.
+/// [`labels::VERIFY_BATCHED`](crate::labels::VERIFY_BATCHED). Wall-clock
+/// time is real (not simulated) and varies run to run; determinism
+/// comparisons deliberately cover only events and byte counters.
 ///
-/// Use this when the batch is verified at the same simulated instant the
-/// per-blob path would have verified each item (singleton batches, stash
-/// drains). Deferred queues that count blobs at enqueue time call
-/// [`flush_verify_queue`] instead.
+/// Use this when the blobs are checked the moment they arrive (singleton
+/// batches, stash drains). Deferred queues that count blobs at enqueue
+/// time call [`flush_verify_queue`] instead.
 ///
 /// Returns the sorted indices of the failing pairs (empty = all verified).
 pub fn verify_blobs_timed<M>(
@@ -155,9 +134,8 @@ pub fn verify_blobs_timed<M>(
 /// the [`labels::VERIFY_MS`](crate::labels::VERIFY_MS) wall-clock sample
 /// and the [`labels::VERIFY_BATCHED`](crate::labels::VERIFY_BATCHED) batch
 /// size, but leaves blob counting to the caller. Deferred verification
-/// queues bump the counter when a blob is *enqueued* — the instant the
-/// per-blob path verifies it — so counter totals stay identical across
-/// modes even in rounds that stall before any flush happens.
+/// queues bump the counter when a blob is *enqueued*, so rounds that stall
+/// before any flush happens still report every blob they received.
 pub fn flush_verify_queue<M>(
     out: &mut Actions<M>,
     key: &ProtocolKey,
@@ -213,6 +191,8 @@ pub fn derive_key(max_partition_len: usize, task_seed: u64, precompute: bool) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::ProtocolAction;
+    use proptest::prelude::*;
 
     #[test]
     fn blob_round_trip_single_trainer() {
@@ -390,5 +370,59 @@ mod tests {
         let c = commit_blob(&plain, &blob).unwrap();
         assert_eq!(c, commit_blob(&fast, &blob).unwrap());
         assert!(verify_blob(&fast, &blob, &c));
+    }
+
+    /// The blob a queue entry of `kind` carries, and the commitment it is
+    /// checked against: 0 a valid opening, 1 an opening of the wrong
+    /// commitment, 2 a truncated blob, 3 a counter-only blob.
+    fn queue_entry(key: &ProtocolKey, kind: u8, x: f32) -> (Vec<u8>, ProtocolCommitment) {
+        let good = build_blob(&[x, -x, 0.5, 1.0]);
+        let c = commit_blob(key, &good).unwrap();
+        match kind {
+            0 => (good, c),
+            1 => (
+                good,
+                commit_blob(key, &build_blob(&[x + 1.0, -x, 0.5, 1.0])).unwrap(),
+            ),
+            2 => (good[..good.len() - 3].to_vec(), c),
+            _ => (encode(&[Quantized::from_f64(1.0)]), c),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A queue of 1–8 blobs mixing valid, wrong-commitment and
+        /// malformed entries: `verify_blobs_timed` names exactly the
+        /// indices `verify_blob` rejects and counts every queued blob once.
+        #[test]
+        fn prop_verify_blobs_timed_matches_verify_blob(
+            kinds in proptest::collection::vec(0u8..4, 1..9),
+            seed in 0u64..1_000,
+        ) {
+            let key = derive_key(4, 7, false);
+            let queue: Vec<(Vec<u8>, ProtocolCommitment)> = kinds
+                .iter()
+                .enumerate()
+                .map(|(i, &kind)| queue_entry(&key, kind, (seed + i as u64) as f32 * 0.25 - 100.0))
+                .collect();
+            let expected: Vec<usize> = (0..queue.len())
+                .filter(|&i| !verify_blob(&key, &queue[i].0, &queue[i].1))
+                .collect();
+            let items: Vec<(&[u8], &ProtocolCommitment)> =
+                queue.iter().map(|(b, c)| (b.as_slice(), c)).collect();
+            let mut out: Actions<()> = Actions::new();
+            prop_assert_eq!(verify_blobs_timed(&mut out, &key, &items), expected);
+            let counted: u64 = out
+                .drain()
+                .filter_map(|a| match a {
+                    ProtocolAction::Incr { label, delta } => Some((label, delta)),
+                    _ => None,
+                })
+                .filter(|(label, _)| *label == crate::labels::BLOBS_VERIFIED)
+                .map(|(_, delta)| delta)
+                .sum();
+            prop_assert_eq!(counted, queue.len() as u64);
+        }
     }
 }

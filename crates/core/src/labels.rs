@@ -70,21 +70,21 @@ pub const WASTED_BYTES: &str = "wasted_bytes";
 /// own-gradient fetch or merge RPC of the round (value = iter). The merge
 /// delay is `GRADS_AGGREGATED − FETCH_START`.
 pub const FETCH_START: &str = "fetch_start";
-/// Histogram label: wall-clock milliseconds spent verifying one gradient
-/// blob against its commitment (trainer, aggregator, and directory verify
-/// paths). Wall-clock — excluded from determinism comparisons.
+/// Histogram label: wall-clock milliseconds spent on one batch check of
+/// gradient blobs against their commitments (trainer, aggregator, and
+/// directory verify paths). Wall-clock — excluded from determinism
+/// comparisons.
 pub const VERIFY_MS: &str = "verify_ms";
-/// Counter: total gradient blobs whose commitment was checked. The
-/// per-blob path bumps it by 1 per verification; the batched path bumps it
-/// by 1 at the instant each blob *would* have been verified per-blob
-/// (enqueue time for deferred queues, drain time for stash drains), so the
-/// total is identical in both modes — even in rounds that stall before a
-/// flush — and `dfl report` never under-counts verification work.
+/// Counter: total gradient blobs whose commitment was checked. Each blob
+/// is counted when it is received for checking (enqueue time for deferred
+/// queues, drain time for stash drains, arrival for singleton checks), so
+/// rounds that stall before a flush still count it and `dfl report` never
+/// under-counts verification work.
 pub const BLOBS_VERIFIED: &str = "blobs_verified";
-/// Histogram label: verification batch size — one sample per verify call
-/// (1.0 on the per-blob path, the queue length on the batched path).
-/// Batch sizes depend only on simulated behaviour, but the histogram
-/// channel keeps batched and per-blob fingerprints comparable.
+/// Histogram label: verification batch size — one sample per batch check
+/// (the queue length; 1.0 for a singleton). Batch sizes depend only on
+/// simulated behaviour; as a histogram they stay out of trace
+/// fingerprints, so batching policy can change without moving one.
 pub const VERIFY_BATCHED: &str = "verify_batched";
 /// Counter: the backend reported a delivery failure
 /// ([`ProtocolEvent::DeliveryFailure`](crate::ProtocolEvent)) — an

@@ -24,7 +24,7 @@ use crate::chunked::{ChunkProgress, ChunkedClient, ManifestOutcome};
 use crate::config::{CommMode, Topology};
 use crate::gradient::{
     build_blob, commit_blob, decode_blob, decode_update, flush_verify_queue, sum_gradients,
-    verify_blob_timed, verify_blobs_timed, ProtocolCommitment, ProtocolCurve, ProtocolKey,
+    verify_blobs_timed, ProtocolCommitment, ProtocolCurve, ProtocolKey,
 };
 use crate::labels;
 use crate::messages::{
@@ -85,9 +85,9 @@ pub struct Trainer<M: Model> {
     accumulators: HashMap<usize, ProtocolCommitment>,
     /// Update blobs awaiting an accumulator to verify against.
     unverified_updates: HashMap<usize, Vec<u8>>,
-    /// Deferred verification queue (`batch_verify` mode): update blobs
-    /// accepted optimistically, settled with one RLC batch check when the
-    /// last partition arrives and the round is about to finish.
+    /// Deferred verification queue (trainer-verification mode): update
+    /// blobs accepted optimistically, settled with one RLC batch check
+    /// when the last partition arrives and the round is about to finish.
     pending_verify: Vec<(usize, Vec<u8>, ProtocolCommitment)>,
     /// Blocks uploaded in the current round, released at the next round
     /// (ephemeral storage lifecycle, §VI).
@@ -877,41 +877,12 @@ impl<M: Model> Trainer<M> {
         }
     }
 
-    /// Validates (and in trainer-verification mode, cryptographically
-    /// verifies) a downloaded update blob, then applies it.
+    /// Validates (and in trainer-verification mode, queues for
+    /// cryptographic verification) a downloaded update blob, then applies
+    /// it.
     fn accept_update(&mut self, out: &mut Actions<Msg>, partition: usize, data: Vec<u8>) {
         if self.finished || self.received.contains_key(&partition) {
             return;
-        }
-        if self.topo.config().trainer_verifies {
-            match self.accumulators.get(&partition) {
-                Some(acc) => {
-                    let acc = *acc;
-                    // Truly local invariant: TaskConfig::validate rejects
-                    // trainer_verifies without verifiable, so the key
-                    // always exists on this path.
-                    let key = self.key.as_ref().expect("verifiable mode").clone();
-                    if self.topo.config().batch_verify {
-                        // Deferred mode: accept optimistically and queue
-                        // the blob for the end-of-round flush. Count it
-                        // now — the instant the per-blob path verifies —
-                        // so `blobs_verified` totals match per-blob mode
-                        // even in rounds that never complete.
-                        out.incr(labels::BLOBS_VERIFIED, 1);
-                        self.pending_verify.push((partition, data.clone(), acc));
-                    } else if !verify_blob_timed(out, &key, &data, &acc) {
-                        // Never accept an unverified update (the poll loop
-                        // will re-fetch if a correct one appears).
-                        out.record("trainer_rejected_update", partition as f64);
-                        return;
-                    }
-                }
-                None => {
-                    // Accumulator not known yet; stash and re-check later.
-                    self.unverified_updates.insert(partition, data);
-                    return;
-                }
-            }
         }
         let Some((averaged, _count)) = decode_update(&data) else {
             return; // corrupt update: retry via polling
@@ -919,17 +890,28 @@ impl<M: Model> Trainer<M> {
         if averaged.len() != self.topo.partition_len(partition) {
             return;
         }
+        if self.topo.config().trainer_verifies {
+            let Some(&acc) = self.accumulators.get(&partition) else {
+                // Accumulator not known yet; stash and re-check later.
+                self.unverified_updates.insert(partition, data);
+                return;
+            };
+            // Accept optimistically and queue the blob for the end-of-round
+            // flush, which rejects it before the round may finish. Count it
+            // now, so rounds that never complete still report it.
+            out.incr(labels::BLOBS_VERIFIED, 1);
+            self.pending_verify.push((partition, data, acc));
+        }
         self.received.insert(partition, averaged);
         if self.received.len() == self.topo.config().partitions && self.flush_pending_verify(out) {
             self.finish_round(out);
         }
     }
 
-    /// Settles the deferred update-verification queue (`batch_verify`
-    /// mode) with one RLC batch check; returns whether the round may
-    /// finish (no culprits). A culprit partition is rejected exactly as
-    /// the per-blob path rejects it at arrival — dropped from `received`
-    /// so the poll loop re-fetches it.
+    /// Settles the deferred update-verification queue with one RLC batch
+    /// check; returns whether the round may finish (no culprits). A
+    /// culprit partition is rejected: dropped from `received` so the poll
+    /// loop re-fetches it, and never applied to the model.
     fn flush_pending_verify(&mut self, out: &mut Actions<Msg>) -> bool {
         if self.pending_verify.is_empty() {
             return true;
@@ -1104,8 +1086,27 @@ impl<M: Model> ProtocolCore for Trainer<M> {
 mod tests {
     use super::*;
     use crate::config::TaskConfig;
+    use crate::gradient::derive_key;
     use crate::protocol::ProtocolAction;
     use dfl_ml::{data, LogisticRegression};
+
+    fn trainer(cfg: TaskConfig, key: Option<ProtocolKey>) -> Trainer<LogisticRegression> {
+        let model = LogisticRegression::new(2, 2);
+        let params = model.params();
+        let topo = Arc::new(Topology::new(cfg, params.len()).unwrap());
+        let dataset = data::make_blobs(8, 2, 2, 0.5, 1);
+        let sink: ParamSink = Arc::new(Mutex::new(HashMap::new()));
+        Trainer::new(
+            0,
+            topo,
+            key.map(Arc::new),
+            model,
+            params,
+            dataset,
+            SgdConfig::default(),
+            sink,
+        )
+    }
 
     /// Regression: a storage acknowledgment colliding with a live request
     /// id in a mode with no storage route must be booked
@@ -1120,21 +1121,7 @@ mod tests {
             comm: CommMode::Direct,
             ..TaskConfig::default()
         };
-        let model = LogisticRegression::new(2, 2);
-        let params = model.params();
-        let topo = Arc::new(Topology::new(cfg, params.len()).unwrap());
-        let dataset = data::make_blobs(8, 2, 2, 0.5, 1);
-        let sink: ParamSink = Arc::new(Mutex::new(HashMap::new()));
-        let mut trainer = Trainer::new(
-            0,
-            topo,
-            None,
-            model,
-            params,
-            dataset,
-            SgdConfig::default(),
-            sink,
-        );
+        let mut trainer = trainer(cfg, None);
         // A frame delivered to the wrong node whose req_id collides with
         // a live one — per-node request ids are small integers.
         trainer.pending_acks.insert(7, 0);
@@ -1154,5 +1141,50 @@ mod tests {
             |a| matches!(a, ProtocolAction::Incr { label, .. } if label == labels::MISROUTED_ACK),
         );
         assert!(booked, "misrouted ack must increment the counter");
+    }
+
+    /// Regression: a malformed update blob must never enter the deferred
+    /// verification queue. It used to be queued before decoding, and the
+    /// end-of-round flush then convicted it and dropped the correct
+    /// refetch of the same partition along with it.
+    #[test]
+    fn malformed_update_is_never_queued_for_verification() {
+        let cfg = TaskConfig {
+            trainers: 2,
+            partitions: 2,
+            verifiable: true,
+            trainer_verifies: true,
+            ..TaskConfig::default()
+        };
+        let key = derive_key(3, cfg.seed, false);
+        let mut trainer = trainer(cfg, Some(key.clone()));
+        let updates: Vec<Vec<u8>> = (0..2)
+            .map(|p| build_blob(&vec![0.5; trainer.topo.partition_len(p)]))
+            .collect();
+        for (p, blob) in updates.iter().enumerate() {
+            trainer
+                .accumulators
+                .insert(p, commit_blob(&key, blob).unwrap());
+        }
+        let mut out = Actions::new();
+        let truncated = updates[0][..updates[0].len() - 3].to_vec();
+        trainer.accept_update(&mut out, 0, truncated);
+        assert!(trainer.pending_verify.is_empty());
+        trainer.accept_update(&mut out, 0, updates[0].clone());
+        trainer.accept_update(&mut out, 1, updates[1].clone());
+        assert!(
+            trainer.finished,
+            "both verified partitions must finish the round"
+        );
+        let rejected = out.drain().any(|a| {
+            matches!(
+                a,
+                ProtocolAction::Record {
+                    label: "trainer_rejected_update",
+                    ..
+                }
+            )
+        });
+        assert!(!rejected, "no verified update may be rejected");
     }
 }

@@ -38,7 +38,7 @@ use crate::sha256::Sha256;
 ///
 /// A key may additionally carry a fixed-base precomputation table
 /// ([`CommitKey::precompute`]) that every subsequent [`CommitKey::commit`]
-/// and [`CommitKey::batch_verify`] uses transparently. The table caches
+/// and [`CommitKey::batch_check`] uses transparently. The table caches
 /// windowed shifts of the generators (derived data only), so two keys
 /// compare equal iff their generators and seed match, table or not.
 #[derive(Clone)]
@@ -179,19 +179,6 @@ impl<C: Curve> CommitKey<C> {
         self.commit(values) == *commitment
     }
 
-    /// Verifies many `(values, commitment)` pairs at once with a random
-    /// linear combination. Convenience wrapper over [`CommitKey::batch_check`]
-    /// for callers without binding bytes.
-    ///
-    /// Returns `true` for an empty batch.
-    pub fn batch_verify(&self, items: &[(&[Scalar<C>], &Commitment<C>)]) -> bool {
-        let entries: Vec<BatchEntry<'_, C>> = items
-            .iter()
-            .map(|(values, commitment)| BatchEntry::new(values, commitment))
-            .collect();
-        self.batch_check(&entries)
-    }
-
     /// Verifies a whole batch of openings with one random linear
     /// combination (the small-exponent batch test of Bellare–Garay–Rabin
     /// '98): sample 128-bit coefficients `rᵢ`, check that
@@ -245,17 +232,24 @@ impl<C: Curve> CommitKey<C> {
     ///
     /// Cost is one subrange check per bisection node on the path to each
     /// culprit: `O(b · log k)` extra MSMs for `b` culprits in a batch of
-    /// `k`, and a single whole-batch check when everything is valid.
+    /// `k`, and a single whole-batch check when everything is valid. A
+    /// batch with one checkable entry costs exactly one
+    /// [`CommitKey::verify`]: no transcript is hashed.
     pub fn batch_culprits(&self, entries: &[BatchEntry<'_, C>]) -> Vec<usize> {
         // Over-long vectors can never open; convict them directly and keep
         // the RLC domain to the checkable entries.
         let (overlong, in_range): (Vec<usize>, Vec<usize>) =
             (0..entries.len()).partition(|&i| entries[i].values.len() > self.generators.len());
         let mut culprits = overlong;
-        if !in_range.is_empty() {
-            let points = normalized_points(entries);
-            let coeffs = self.batch_coefficients(entries, &points);
-            self.bisect(entries, &coeffs, &points, &in_range, &mut culprits);
+        match in_range[..] {
+            [] => {}
+            // The bisection leaf ignores the coefficients: skip deriving them.
+            [_] => self.bisect(entries, &[], &[], &in_range, &mut culprits),
+            _ => {
+                let points = normalized_points(entries);
+                let coeffs = self.batch_coefficients(entries, &points);
+                self.bisect(entries, &coeffs, &points, &in_range, &mut culprits);
+            }
         }
         culprits.sort_unstable();
         culprits
@@ -788,16 +782,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_verify_uses_table_transparently() {
+    fn batch_check_uses_table_transparently() {
         let key = CommitKey::<K1>::setup_precomputed(8, b"test-seed");
         let vectors: Vec<Vec<_>> = (0..4).map(|i| random_vector(8, 80 + i)).collect();
         let commits: Vec<_> = vectors.iter().map(|v| key.commit(v)).collect();
-        let items: Vec<(&[Scalar<K1>], &Commitment<K1>)> = vectors
-            .iter()
-            .map(Vec::as_slice)
-            .zip(commits.iter())
-            .collect();
-        assert!(key.batch_verify(&items));
+        assert!(key.batch_check(&entries(&vectors, &commits)));
     }
 
     #[test]
@@ -836,36 +825,26 @@ mod tests {
     }
 
     #[test]
-    fn batch_verify_accepts_valid_batches() {
+    fn batch_check_accepts_valid_batches() {
         let key = key(8);
         let vectors: Vec<Vec<_>> = (0..5).map(|i| random_vector(8, 30 + i)).collect();
         let commits: Vec<_> = vectors.iter().map(|v| key.commit(v)).collect();
-        let items: Vec<(&[Scalar<K1>], &Commitment<K1>)> = vectors
-            .iter()
-            .map(Vec::as_slice)
-            .zip(commits.iter())
-            .collect();
-        assert!(key.batch_verify(&items));
-        assert!(key.batch_verify(&[]), "empty batch is trivially valid");
+        assert!(key.batch_check(&entries(&vectors, &commits)));
+        assert!(key.batch_check(&[]), "empty batch is trivially valid");
     }
 
     #[test]
-    fn batch_verify_rejects_one_bad_pair() {
+    fn batch_check_rejects_one_bad_pair() {
         let key = key(8);
         let vectors: Vec<Vec<_>> = (0..5).map(|i| random_vector(8, 40 + i)).collect();
         let mut commits: Vec<_> = vectors.iter().map(|v| key.commit(v)).collect();
         // Corrupt exactly one commitment.
         commits[3] = commits[3].combine(&key.commit(&random_vector(8, 99)));
-        let items: Vec<(&[Scalar<K1>], &Commitment<K1>)> = vectors
-            .iter()
-            .map(Vec::as_slice)
-            .zip(commits.iter())
-            .collect();
-        assert!(!key.batch_verify(&items));
+        assert!(!key.batch_check(&entries(&vectors, &commits)));
     }
 
     #[test]
-    fn batch_verify_rejects_swapped_openings() {
+    fn batch_check_rejects_swapped_openings() {
         // Two valid pairs with their openings exchanged must fail even
         // though the multiset of commitments is unchanged.
         let key = key(4);
@@ -873,21 +852,21 @@ mod tests {
         let v2 = random_vector(4, 51);
         let c1 = key.commit(&v1);
         let c2 = key.commit(&v2);
-        assert!(key.batch_verify(&[(&v1, &c1), (&v2, &c2)]));
-        assert!(!key.batch_verify(&[(&v1, &c2), (&v2, &c1)]));
+        assert!(key.batch_check(&[BatchEntry::new(&v1, &c1), BatchEntry::new(&v2, &c2)]));
+        assert!(!key.batch_check(&[BatchEntry::new(&v1, &c2), BatchEntry::new(&v2, &c1)]));
     }
 
     #[test]
-    fn batch_verify_mixed_lengths() {
+    fn batch_check_mixed_lengths() {
         let key = key(8);
         let short = random_vector(3, 60);
         let long = random_vector(8, 61);
         let cs = key.commit(&short);
         let cl = key.commit(&long);
-        assert!(key.batch_verify(&[(&short, &cs), (&long, &cl)]));
+        assert!(key.batch_check(&[BatchEntry::new(&short, &cs), BatchEntry::new(&long, &cl)]));
         // Over-long vector rejected outright.
         let too_long = random_vector(9, 62);
-        assert!(!key.batch_verify(&[(&too_long, &cs)]));
+        assert!(!key.batch_check(&[BatchEntry::new(&too_long, &cs)]));
     }
 
     /// Builds a batch of `n` openings over `key`, then corrupts the
@@ -929,7 +908,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_check_matches_batch_verify_semantics() {
+    fn batch_check_rejects_a_corrupted_value_or_commitment() {
         let key = key(8);
         let (vectors, commits) = corrupted_batch(&key, 6, &[], 100);
         assert!(key.batch_check(&entries(&vectors, &commits)));
@@ -970,6 +949,33 @@ mod tests {
         let e = [BatchEntry::new(&good, &cg), BatchEntry::new(&long, &cg)];
         assert!(!key.batch_check(&e));
         assert_eq!(key.batch_culprits(&e), vec![1]);
+    }
+
+    /// A one-entry `batch_culprits` call returns `[0]` exactly when
+    /// `verify` rejects the pair.
+    fn singleton_matches_verify<C: crate::curve::Curve>(key: &CommitKey<C>, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let good = mixed_sign_vector::<C>(key.len(), &mut rng);
+        let c = key.commit(&good);
+        let mut corrupt = good.clone();
+        corrupt[0] += Scalar::<C>::ONE;
+        let overlong = mixed_sign_vector::<C>(key.len() + 1, &mut rng);
+        for (values, expect_valid) in [(&good, true), (&corrupt, false), (&overlong, false)] {
+            assert_eq!(key.verify(values, &c), expect_valid, "{}", C::NAME);
+            let verdict = key.batch_culprits(&[BatchEntry::new(values, &c)]);
+            let expected: Vec<usize> = if expect_valid { vec![] } else { vec![0] };
+            assert_eq!(verdict, expected, "{} len {}", C::NAME, values.len());
+        }
+    }
+
+    #[test]
+    fn singleton_batch_verdict_equals_verify_on_both_curves() {
+        singleton_matches_verify(&CommitKey::<Secp256k1>::setup(6, b"one-k1"), 190);
+        singleton_matches_verify(&CommitKey::<Secp256r1>::setup(6, b"one-r1"), 191);
+        singleton_matches_verify(
+            &CommitKey::<Secp256k1>::setup_precomputed(6, b"one-k1"),
+            192,
+        );
     }
 
     #[test]

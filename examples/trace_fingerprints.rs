@@ -3,36 +3,13 @@
 //! Used to prove refactors of the protocol core leave the observable
 //! behaviour of the simulation bit-identical: capture the hashes before a
 //! change, capture them after, diff. Covers the fig1/fig2 delay
-//! experiments (plain and verifiable) and the 2k-trainer swarm.
-
-use dfl_bench::{
-    fig1_config, fig2_config, run_network_experiment, swarm_trace_hash, trace_fingerprint,
-};
-use ipls::TaskConfig;
+//! experiments (plain, verifiable, and verifiable with trainer-side
+//! verification, printed as `fig2-batched`) and the 2k-trainer swarm
+//! ([`dfl_bench::canonical_fingerprints`]). `tests/determinism_scale.rs`
+//! pins the same five values as literals.
 
 fn main() {
-    let params = 1_024;
-    let fig1 = run_network_experiment(fig1_config(), params);
-    println!("fig1            {:016x}", trace_fingerprint(&fig1.trace));
-    let fig2 = run_network_experiment(fig2_config(), params);
-    println!("fig2            {:016x}", trace_fingerprint(&fig2.trace));
-    let fig2v = run_network_experiment(
-        TaskConfig {
-            verifiable: true,
-            ..fig2_config()
-        },
-        params,
-    );
-    println!("fig2-verifiable {:016x}", trace_fingerprint(&fig2v.trace));
-    let fig2b = run_network_experiment(
-        TaskConfig {
-            verifiable: true,
-            trainer_verifies: true,
-            batch_verify: true,
-            ..fig2_config()
-        },
-        params,
-    );
-    println!("fig2-batched    {:016x}", trace_fingerprint(&fig2b.trace));
-    println!("swarm-2k        {:016x}", swarm_trace_hash(2_000, false));
+    for (label, fingerprint) in dfl_bench::canonical_fingerprints() {
+        println!("{label:<15} {fingerprint:016x}");
+    }
 }

@@ -20,10 +20,8 @@ fn sgd() -> SgdConfig {
 
 /// 2 partitions × 2 aggregator slots = 4 aggregators, replication 2,
 /// verifiable + authenticated + accountable, with an early watchdog so
-/// recovery starts well before the t_sync deadline. `batch_verify` defers
-/// commitment checks to round boundaries; every scenario runs both ways
-/// and must reach identical verdicts.
-fn cfg(comm: CommMode, batch_verify: bool) -> TaskConfig {
+/// recovery starts well before the t_sync deadline.
+fn cfg(comm: CommMode) -> TaskConfig {
     TaskConfig::builder()
         .trainers(6)
         .partitions(2)
@@ -33,7 +31,6 @@ fn cfg(comm: CommMode, batch_verify: bool) -> TaskConfig {
         .rounds(2)
         .replication(2)
         .verifiable(true)
-        .batch_verify(batch_verify)
         .authenticate(true)
         .accountability(true)
         .seed(11)
@@ -126,25 +123,15 @@ fn assert_evicted(report: &decentralized_fl::protocol::TaskReport, offender: usi
     );
 }
 
-fn comm_modes() -> [CommMode; 2] {
+/// Every scenario runs over both storage-backed comm modes.
+fn modes() -> [CommMode; 2] {
     [CommMode::Indirect, CommMode::MergeAndDownload]
-}
-
-/// Every scenario runs over the full matrix: both storage-backed comm
-/// modes, with per-blob and with batched (deferred) verification.
-fn modes() -> [(CommMode, bool); 4] {
-    [
-        (CommMode::Indirect, false),
-        (CommMode::Indirect, true),
-        (CommMode::MergeAndDownload, false),
-        (CommMode::MergeAndDownload, true),
-    ]
 }
 
 #[test]
 fn honest_accountable_run_is_clean() {
-    for (comm, batch) in modes() {
-        let c = cfg(comm, batch);
+    for comm in modes() {
+        let c = cfg(comm);
         let report = run(c.clone(), &[]);
         assert!(report.succeeded(&c), "{comm:?}");
         assert_eq!(report.detections, 0, "{comm:?}");
@@ -162,12 +149,12 @@ fn dropping_aggregator_is_evicted_and_round_recovers() {
     // self-incriminating). The partial provably fails the slot accumulator:
     // the peer packages evidence, the directory evicts, and the peer
     // re-aggregates the slot from the original gradient blobs.
-    for (comm, batch) in modes() {
-        let c = cfg(comm, batch);
+    for comm in modes() {
+        let c = cfg(comm);
         let honest = run(c.clone(), &[]);
         let behaviors = [(0, Behavior::DropGradients { count: 2 })];
         let report = assert_recovers(&c, &honest, &behaviors);
-        assert_evicted(&report, 0, &format!("drop/{comm:?}/batch={batch}"));
+        assert_evicted(&report, 0, &format!("drop/{comm:?}"));
         assert!(report.recovered_rounds >= 1, "{comm:?}: recovery must run");
         assert!(report.wasted_bytes > 0, "{comm:?}: bad partial was fetched");
     }
@@ -179,12 +166,12 @@ fn altering_aggregator_is_evicted_and_round_recovers() {
     // poisoned. The directory verifies the signed registration first-hand
     // (auditing it even if an honest update won the race), issues BadUpdate
     // evidence, and evicts.
-    for (comm, batch) in modes() {
-        let c = cfg(comm, batch);
+    for comm in modes() {
+        let c = cfg(comm);
         let honest = run(c.clone(), &[]);
         let behaviors = [(0, Behavior::AlterUpdate)];
         let report = assert_recovers(&c, &honest, &behaviors);
-        assert_evicted(&report, 0, &format!("alter/{comm:?}/batch={batch}"));
+        assert_evicted(&report, 0, &format!("alter/{comm:?}"));
         assert!(report.wasted_bytes > 0, "{comm:?}: rejected update counted");
     }
 }
@@ -194,8 +181,8 @@ fn offline_aggregator_round_recovers_without_eviction() {
     // Silence yields no transferable proof — an offline aggregator is
     // locally blacklisted (timeout suspicion) and its set recovered, but
     // never evicted: eviction is reserved for *provable* misbehavior.
-    for (comm, batch) in modes() {
-        let c = cfg(comm, batch);
+    for comm in modes() {
+        let c = cfg(comm);
         let honest = run(c.clone(), &[]);
         let behaviors = [(0, Behavior::Offline)];
         let report = assert_recovers(&c, &honest, &behaviors);
@@ -212,12 +199,12 @@ fn equivocating_aggregator_is_evicted_and_round_recovers() {
     // validly *signed* announcement of the poisoned one. The signature
     // binds the attacker to the bad blob — exactly the transferable
     // evidence the subsystem exists for.
-    for (comm, batch) in modes() {
-        let c = cfg(comm, batch);
+    for comm in modes() {
+        let c = cfg(comm);
         let honest = run(c.clone(), &[]);
         let behaviors = [(0, Behavior::Equivocate)];
         let report = assert_recovers(&c, &honest, &behaviors);
-        assert_evicted(&report, 0, &format!("equivocate/{comm:?}/batch={batch}"));
+        assert_evicted(&report, 0, &format!("equivocate/{comm:?}"));
         assert!(report.recovered_rounds >= 1, "{comm:?}: recovery must run");
         assert!(
             report.wasted_bytes > 0,
@@ -230,8 +217,8 @@ fn equivocating_aggregator_is_evicted_and_round_recovers() {
 fn evicted_aggregator_registrations_are_rejected_next_round() {
     // Round 0 detects and evicts; in round 1 the attacker keeps playing
     // but the directory drops its registration outright.
-    for (comm, batch) in modes() {
-        let c = cfg(comm, batch);
+    for comm in modes() {
+        let c = cfg(comm);
         let report = run(c.clone(), &[(0, Behavior::Equivocate)]);
         assert!(report.succeeded(&c), "{comm:?}");
         let rejected = report.trace.find_all("evicted_rejected");
@@ -252,8 +239,8 @@ fn peers_blacklist_via_gossiped_evidence() {
     // evicts on the report. Gossip lets *other* aggregators blacklist the
     // offender without re-detecting it themselves; blacklisting shows up
     // as proactive recovery in round 1 with no fresh detection.
-    for (comm, batch) in modes() {
-        let c = cfg(comm, batch);
+    for comm in modes() {
+        let c = cfg(comm);
         let report = run(c.clone(), &[(0, Behavior::Equivocate)]);
         assert!(report.succeeded(&c), "{comm:?}");
         let blacklisted = report.trace.find_all("peer_blacklisted");
@@ -272,11 +259,11 @@ fn peers_blacklist_via_gossiped_evidence() {
 }
 
 #[test]
-fn batched_verification_names_identical_culprits() {
-    // The batched path bisects a failing RLC check down to the exact
-    // offending blobs, so detection, blacklisting, and eviction must pin
-    // the same peers as arrival-time per-blob verification — evidence and
-    // verdicts may not shift by a single index.
+fn culprit_verdicts_are_pinned() {
+    // Batched verification bisects a failing RLC check down to the exact
+    // offending blobs, so detection, eviction and blacklisting must name
+    // exactly these peers — the verdicts one-at-a-time verification
+    // reached — and may not shift by a single index.
     let sorted_values = |report: &decentralized_fl::protocol::TaskReport, label: &str| {
         let mut v: Vec<f64> = report
             .trace
@@ -287,21 +274,24 @@ fn batched_verification_names_identical_culprits() {
         v.sort_by(f64::total_cmp);
         v
     };
-    let scenarios: [&[(usize, Behavior)]; 3] = [
-        &[(0, Behavior::DropGradients { count: 2 })],
-        &[(0, Behavior::AlterUpdate)],
-        &[(0, Behavior::Equivocate)],
+    // (behaviour, misbehavior_detected, evicted, peer_blacklisted)
+    let scenarios: [(Behavior, [&[f64]; 3]); 3] = [
+        (
+            Behavior::DropGradients { count: 2 },
+            [&[0.0], &[0.0], &[0.0]],
+        ),
+        (Behavior::AlterUpdate, [&[0.0], &[0.0], &[]]),
+        (Behavior::Equivocate, [&[0.0], &[0.0], &[0.0]]),
     ];
-    for comm in comm_modes() {
-        for behaviors in scenarios {
-            let per_blob = run(cfg(comm, false), behaviors);
-            let batched = run(cfg(comm, true), behaviors);
-            for label in ["misbehavior_detected", "evicted", "peer_blacklisted"] {
+    for comm in modes() {
+        for (behavior, expected) in &scenarios {
+            let report = run(cfg(comm), &[(0, *behavior)]);
+            let labels = ["misbehavior_detected", "evicted", "peer_blacklisted"];
+            for (label, want) in labels.iter().zip(expected) {
                 assert_eq!(
-                    sorted_values(&per_blob, label),
-                    sorted_values(&batched, label),
-                    "{comm:?}/{behaviors:?}: `{label}` culprits must be \
-                     identical across verification modes"
+                    sorted_values(&report, label),
+                    want.to_vec(),
+                    "{comm:?}/{behavior:?}: `{label}` culprits"
                 );
             }
         }
