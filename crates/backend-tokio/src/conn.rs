@@ -39,18 +39,18 @@ use crate::{codec, NodeEvent};
 /// backoff is jittered from a SplitMix64 stream seeded per `(seed, me,
 /// peer)`, so a run's retry timing is deterministic given its seed.
 #[derive(Clone, Copy, Debug)]
-pub struct BackoffPolicy {
+pub(crate) struct BackoffPolicy {
     /// First retry delay; doubles each subsequent attempt.
-    pub base: Duration,
+    pub(crate) base: Duration,
     /// Backoff ceiling.
-    pub max: Duration,
+    pub(crate) max: Duration,
     /// Delivery attempts per frame (connect + write counts as one).
-    pub max_attempts: u32,
+    pub(crate) max_attempts: u32,
     /// Bounded outbound queue depth per peer; a full queue drops the
     /// newest frame with accounting.
-    pub queue_depth: usize,
+    pub(crate) queue_depth: usize,
     /// Seed of the jitter streams.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for BackoffPolicy {

@@ -3,16 +3,16 @@
 //! The netsim backend ([`ipls::runner::run_task`]) interprets
 //! [`ProtocolAction`]s against a simulated
 //! network; this crate interprets the *same* actions against localhost TCP
-//! sockets and wall-clock timers, driving the *same* state machines
-//! ([`ipls::Directory`], [`ipls::Aggregator`], [`ipls::Trainer`],
-//! [`ipls::protocol::IpfsCore`]) unmodified. Nothing protocol-specific
-//! lives here — only transport:
+//! sockets and wall-clock timers, driving the *same* cores, built by the
+//! same [`ipls::runner::deployment`], unmodified. Nothing protocol-specific
+//! lives here — only transport, on plain `std::net` sockets and
+//! `std::thread`s:
 //!
 //! - every node gets a TCP listener on an ephemeral port; [`codec`] frames
 //!   messages as `[u32 len][u64 sender][payload]`;
-//! - each node runs on its own blocking thread, draining a channel fed by
-//!   socket-reader threads, one heap-based timer thread (`timer.rs`), and the
-//!   fault driver;
+//! - each node runs on its own thread, draining a channel fed by
+//!   socket-reader threads and the fault driver, and firing its own armed
+//!   timers from a deadline heap between events;
 //! - `Send` actions go through supervised per-peer writers (`conn.rs`) with
 //!   bounded queues and seeded exponential backoff — every way a frame
 //!   can be lost is counted in the report's [`DeliveryReport`], never
@@ -31,34 +31,31 @@
 //!
 //! [`TaskConfig::fault_plan`]: ipls::config::TaskConfig
 
-use std::collections::HashMap;
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use dfl_ipfs::{IpfsNode, RetryPolicy};
 use dfl_ml::{Dataset, Model, SgdConfig};
 use dfl_netsim::{Fault, NodeId, SimTime};
-use ipls::adversary::Behavior;
-use ipls::config::{TaskConfig, Topology};
+use ipls::config::TaskConfig;
 use ipls::error::IplsError;
 use ipls::labels;
-use ipls::protocol::{Actions, IpfsCore, ProtocolAction, ProtocolCore, ProtocolEvent};
-use ipls::trainer::ParamSink;
-use ipls::{Aggregator, Directory, Msg, Trainer};
+use ipls::protocol::{Actions, ProtocolAction, ProtocolCore, ProtocolEvent};
+use ipls::runner::{deployment, Deployment};
+use ipls::Msg;
 
 pub mod codec;
 mod conn;
 mod fault;
-mod timer;
 
-pub use conn::{BackoffPolicy, DeliveryReport};
+pub use conn::DeliveryReport;
 
-use conn::{DeliveryStats, PeerSender};
+use conn::{BackoffPolicy, DeliveryStats, PeerSender};
 use fault::NetFaults;
-use timer::TimerWheel;
 
 /// Poison-tolerant locking: a panicking node thread must degrade that
 /// node, not cascade a `PoisonError` panic through every thread sharing
@@ -69,19 +66,10 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Running summary of one histogram label (`ProtocolAction::Observe`).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ObsSummary {
-    /// Samples observed.
-    pub count: u64,
-    /// Sum of the sample values.
-    pub sum: f64,
-}
-
 /// What a TCP task run produced. The socket backend has no [`Trace`], so
 /// this carries the subset of [`ipls::runner::TaskReport`] that exists
 /// outside the simulator — the learned model, progress, per-node
-/// observability sinks, and the transport's delivery accounting.
+/// counters and records, and the transport's delivery accounting.
 ///
 /// [`Trace`]: dfl_netsim::Trace
 #[derive(Clone, Debug)]
@@ -96,8 +84,6 @@ pub struct TcpTaskReport {
     pub counters: Vec<HashMap<&'static str, u64>>,
     /// Per-node count of `ProtocolAction::Record` events by label.
     pub records: Vec<HashMap<&'static str, u64>>,
-    /// Per-node histogram summaries (`ProtocolAction::Observe`).
-    pub observations: Vec<HashMap<&'static str, ObsSummary>>,
     /// The transport's frame-delivery accounting: every dropped,
     /// faulted, or crash-discarded frame of the run, by cause.
     pub delivery: DeliveryReport,
@@ -143,12 +129,88 @@ impl TcpTaskReport {
 pub(crate) enum NodeEvent {
     /// A decoded frame from a peer.
     Msg { from: NodeId, msg: Msg },
-    /// A timer set by the node fired.
+    /// A timer the node armed fell due.
     Timer { token: u64 },
     /// The fault driver injected a fault on this node.
     Fault { fault: Fault },
     /// This node's transport gave up delivering a frame to `to`.
     SendFailed { to: NodeId },
+    /// The run is over: leave the node loop.
+    Stop,
+}
+
+/// The timers one node has armed, owned by its loop: earliest deadline
+/// first, and same-deadline timers in arming order (the simulator's FIFO
+/// tie-break).
+#[derive(Default)]
+struct Timers {
+    heap: BinaryHeap<Reverse<(Instant, u64, u64)>>,
+    armed: u64,
+}
+
+impl Timers {
+    fn arm(&mut self, deadline: Instant, token: u64) {
+        self.heap.push(Reverse((deadline, self.armed, token)));
+        self.armed += 1;
+    }
+
+    /// Removes and returns the token of the earliest timer due by `now`.
+    fn pop_due(&mut self, now: Instant) -> Option<u64> {
+        let Reverse((deadline, _, token)) = *self.heap.peek()?;
+        (deadline <= now).then(|| {
+            self.heap.pop();
+            token
+        })
+    }
+
+    /// The node's next event. A due timer comes first, so timers cannot
+    /// starve behind queued frames; otherwise the loop blocks on `rx`
+    /// until the next deadline, or indefinitely when no timer is armed.
+    /// `None` once every sender of `rx` is gone.
+    fn next_event(&mut self, rx: &mpsc::Receiver<NodeEvent>) -> Option<NodeEvent> {
+        loop {
+            let now = Instant::now();
+            if let Some(token) = self.pop_due(now) {
+                return Some(NodeEvent::Timer { token });
+            }
+            let Some(Reverse((deadline, _, _))) = self.heap.peek() else {
+                return rx.recv().ok();
+            };
+            match rx.recv_timeout(*deadline - now) {
+                Ok(event) => return Some(event),
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                Err(mpsc::RecvTimeoutError::Disconnected) => return None,
+            }
+        }
+    }
+}
+
+/// What the runner waits for at the end of a task.
+struct End {
+    /// The directory recorded `task_complete`.
+    task_complete: bool,
+    /// Node id of trainer 0; the trainers hold the ids from there on.
+    first_trainer: usize,
+    /// The last round's index.
+    last_round: u64,
+    /// Per trainer: it recorded `trainer_round_done` for the last round.
+    finished: Vec<bool>,
+}
+
+impl End {
+    /// The run is over once the task is complete and every trainer that
+    /// is not down has finished the last round. A quorum can complete the
+    /// task before a late trainer (say, one just restarted) does; netsim
+    /// runs to quiescence and lets that trainer finish, so the sockets
+    /// must too.
+    fn over(&self, faults: &NetFaults) -> bool {
+        self.task_complete
+            && self
+                .finished
+                .iter()
+                .enumerate()
+                .all(|(t, done)| *done || faults.is_down(NodeId(self.first_trainer + t)))
+    }
 }
 
 /// Cross-thread state shared by every node of one run.
@@ -157,36 +219,35 @@ struct Shared {
     addrs: Vec<SocketAddr>,
     /// Run start; `now` for handlers is elapsed time since it.
     epoch: Instant,
-    /// Set once to stop every node loop and acceptor (shared with the
-    /// fault driver, which also honours it).
+    /// Set once at the end of the run to stop the acceptors and the fault
+    /// driver.
     shutdown: Arc<AtomicBool>,
-    /// Directory `round_complete` records seen.
-    completed_rounds: AtomicU64,
     /// Per-node `Incr` sink.
     counters: Vec<Mutex<HashMap<&'static str, u64>>>,
     /// Per-node `Record` occurrence counts.
     records: Vec<Mutex<HashMap<&'static str, u64>>>,
-    /// Per-node `Observe` summaries.
-    observations: Vec<Mutex<HashMap<&'static str, ObsSummary>>>,
-    /// Flipped under the mutex when the directory records `task_complete`.
-    done: Mutex<bool>,
-    /// Signals `done`.
-    done_cv: Condvar,
+    /// End-of-run progress, guarded for `end_cv`.
+    end: Mutex<End>,
+    /// Signals a change that may end the run.
+    end_cv: Condvar,
 }
 
 impl Shared {
-    fn new(addrs: Vec<SocketAddr>) -> Shared {
+    fn new(addrs: Vec<SocketAddr>, first_trainer: usize, trainers: usize, rounds: u64) -> Shared {
         let nodes = addrs.len();
         Shared {
             addrs,
             epoch: Instant::now(),
             shutdown: Arc::new(AtomicBool::new(false)),
-            completed_rounds: AtomicU64::new(0),
             counters: (0..nodes).map(|_| Mutex::new(HashMap::new())).collect(),
             records: (0..nodes).map(|_| Mutex::new(HashMap::new())).collect(),
-            observations: (0..nodes).map(|_| Mutex::new(HashMap::new())).collect(),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
+            end: Mutex::new(End {
+                task_complete: false,
+                first_trainer,
+                last_round: rounds - 1,
+                finished: vec![false; trainers],
+            }),
+            end_cv: Condvar::new(),
         }
     }
 
@@ -194,28 +255,53 @@ impl Shared {
         SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
     }
 
-    fn mark_done(&self) {
-        *lock(&self.done) = true;
-        self.done_cv.notify_all();
+    /// Books one `Record` action of node `me`.
+    fn record(&self, me: NodeId, label: &'static str, value: f64) {
+        *lock(&self.records[me.index()]).entry(label).or_insert(0) += 1;
+        match label {
+            labels::TASK_COMPLETE => {
+                lock(&self.end).task_complete = true;
+                self.end_cv.notify_all();
+            }
+            labels::TRAINER_ROUND_DONE => {
+                let mut end = lock(&self.end);
+                if value == end.last_round as f64 {
+                    if let Some(t) = me.index().checked_sub(end.first_trainer) {
+                        end.finished[t] = true;
+                    }
+                }
+                drop(end);
+                self.end_cv.notify_all();
+            }
+            _ => {}
+        }
     }
 
-    /// Waits until `task_complete` or the deadline; `true` on completion.
-    fn wait_done(&self, deadline: Duration) -> bool {
-        let guard = lock(&self.done);
+    /// Wakes the end-of-run wait to re-check (a node went down).
+    fn notify(&self) {
+        let _end = lock(&self.end);
+        self.end_cv.notify_all();
+    }
+
+    /// Waits until the run is over ([`End::over`]) or `deadline` passes;
+    /// `true` when the directory recorded `task_complete`.
+    fn wait_done(&self, faults: &NetFaults, deadline: Duration) -> bool {
+        let guard = lock(&self.end);
         let (guard, _) = self
-            .done_cv
-            .wait_timeout_while(guard, deadline, |done| !*done)
+            .end_cv
+            .wait_timeout_while(guard, deadline, |end| !end.over(faults))
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        *guard
+        guard.task_complete
     }
 }
 
 /// Everything one node's protocol thread needs to interpret actions:
-/// supervised peer writers, the timer wheel, and the observability sinks.
+/// supervised peer writers, its armed timers, and the observability
+/// sinks.
 struct NodeCtx {
     me: NodeId,
     senders: HashMap<usize, PeerSender>,
-    wheel: TimerWheel,
+    timers: Timers,
     tx: mpsc::Sender<NodeEvent>,
     shared: Arc<Shared>,
     faults: Arc<NetFaults>,
@@ -248,38 +334,27 @@ impl NodeCtx {
         })
     }
 
-    /// Interprets one batch of actions against sockets, the timer wheel,
-    /// and the observability sinks.
+    /// Interprets one batch of actions against sockets, the node's
+    /// timers, and the counter and record sinks. `Observe` samples are
+    /// dropped: the socket backend keeps no histograms, as it keeps no
+    /// trace.
     fn flush(&mut self, out: &mut Actions<Msg>) {
         for action in out.drain() {
             match action {
                 ProtocolAction::Send { to, msg } => self.sender(to).send(msg),
-                ProtocolAction::SetTimer { delay, token } => self
-                    .wheel
-                    .arm(Duration::from_micros(delay.as_micros()), token),
+                ProtocolAction::SetTimer { delay, token } => self.timers.arm(
+                    Instant::now() + Duration::from_micros(delay.as_micros()),
+                    token,
+                ),
                 ProtocolAction::Record { label, value } => {
-                    *lock(&self.shared.records[self.me.index()])
-                        .entry(label)
-                        .or_insert(0) += 1;
-                    if label == labels::ROUND_COMPLETE {
-                        self.shared.completed_rounds.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if label == labels::TASK_COMPLETE {
-                        let _ = value; // rounds count; completed_rounds tracks it
-                        self.shared.mark_done();
-                    }
+                    self.shared.record(self.me, label, value);
                 }
                 ProtocolAction::Incr { label, delta } => {
                     *lock(&self.shared.counters[self.me.index()])
                         .entry(label)
                         .or_insert(0) += delta;
                 }
-                ProtocolAction::Observe { label, value } => {
-                    let mut obs = lock(&self.shared.observations[self.me.index()]);
-                    let summary = obs.entry(label).or_default();
-                    summary.count += 1;
-                    summary.sum += value;
-                }
+                ProtocolAction::Observe { .. } => {}
             }
         }
     }
@@ -303,7 +378,7 @@ impl NodeCtx {
 /// Connections stay accepted even while the node is crashed — its node
 /// loop discards (and counts) everything delivered during the outage, the
 /// way netsim books undelivered flows to a down node.
-fn accept_loop(listener: std::net::TcpListener, tx: mpsc::Sender<NodeEvent>, shared: Arc<Shared>) {
+fn accept_loop(listener: TcpListener, tx: mpsc::Sender<NodeEvent>, shared: Arc<Shared>) {
     for conn in listener.incoming() {
         if shared.shutdown.load(Ordering::Relaxed) {
             break;
@@ -324,8 +399,9 @@ fn accept_loop(listener: std::net::TcpListener, tx: mpsc::Sender<NodeEvent>, sha
     }
 }
 
-/// Drives one protocol core: Start, then events off the channel until
-/// shutdown. The core never learns it is not in the simulator.
+/// Drives one protocol core: Start, then its timers and the events off
+/// its channel until [`NodeEvent::Stop`]. The core never learns it is not
+/// in the simulator.
 ///
 /// Crash semantics mirror netsim exactly: while down, inbound frames and
 /// timer firings are discarded (counted), the crash event's own actions
@@ -343,13 +419,9 @@ fn node_loop(
     let mut down = false;
     core.handle(ctx.shared.now(), ProtocolEvent::Start, &mut out);
     ctx.flush(&mut out);
-    while !ctx.shared.shutdown.load(Ordering::Relaxed) {
-        let event = match rx.recv_timeout(Duration::from_millis(10)) {
-            Ok(event) => event,
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        };
+    while let Some(event) = ctx.timers.next_event(&rx) {
         let event = match event {
+            NodeEvent::Stop => break,
             NodeEvent::Msg { from, msg } => {
                 if down {
                     ctx.stats
@@ -380,6 +452,8 @@ fn node_loop(
                         down = true;
                         core.handle(ctx.shared.now(), ProtocolEvent::Fault { fault }, &mut out);
                         ctx.discard(&mut out);
+                        // A down trainer no longer holds the run open.
+                        ctx.shared.notify();
                         continue;
                     }
                     Fault::Recover(n) if n == me => down = false,
@@ -395,23 +469,24 @@ fn node_loop(
             ctx.flush(&mut out);
         }
     }
-    // Flush pending deadlines so the wheel's Drop join is immediate even
-    // when a long watchdog is still armed.
-    ctx.wheel.cancel_all();
 }
 
-/// Runs a full task over localhost TCP with default [`BackoffPolicy`]
-/// supervision (seeded from the task seed) and reports the outcome.
+/// Runs a full task over localhost TCP and reports the outcome.
 ///
-/// Mirrors [`ipls::runner::run_task`] with all aggregators honest; the
-/// configuration's [`fault_plan`](TaskConfig::fault_plan) is replayed
-/// against wall-clock time (crashes, partitions, per-frame chaos), and a
-/// wall-clock completion deadline of `t_sync × rounds + 60 s` applies.
+/// Mirrors [`ipls::runner::run_task`] with all aggregators honest: the
+/// nodes are those of [`ipls::runner::deployment`], the configuration's
+/// [`fault_plan`](TaskConfig::fault_plan) is replayed against wall-clock
+/// time (crashes, partitions, per-frame chaos), and a wall-clock
+/// completion deadline of `t_sync × rounds + 60 s` applies. Connections
+/// are supervised with seeded backoff (the task seed).
+///
+/// The run ends once the directory records `task_complete` and every
+/// trainer that is not down has finished the last round.
 ///
 /// # Errors
 ///
-/// Returns an error when the configuration is invalid or the task misses
-/// the deadline.
+/// Returns an error when the configuration is invalid, a listener cannot
+/// be bound, or the task misses the deadline.
 pub fn run_task_over_tcp<M: Model + Clone + Send + 'static>(
     cfg: TaskConfig,
     model: M,
@@ -419,203 +494,188 @@ pub fn run_task_over_tcp<M: Model + Clone + Send + 'static>(
     datasets: Vec<Dataset>,
     sgd: SgdConfig,
 ) -> Result<TcpTaskReport, IplsError> {
+    let Deployment {
+        topology,
+        cores,
+        sink,
+    } = deployment(cfg, model, initial_params, datasets, sgd, &[])?;
+    let cfg = topology.config();
+    let nodes = cores.len();
     let policy = BackoffPolicy {
         seed: cfg.seed,
         ..BackoffPolicy::default()
     };
-    run_task_over_tcp_with(cfg, model, initial_params, datasets, sgd, policy)
-}
-
-/// [`run_task_over_tcp`] with explicit connection-supervision knobs.
-///
-/// # Errors
-///
-/// Returns an error when the configuration is invalid or the task misses
-/// the deadline.
-pub fn run_task_over_tcp_with<M: Model + Clone + Send + 'static>(
-    cfg: TaskConfig,
-    model: M,
-    initial_params: Vec<f32>,
-    datasets: Vec<Dataset>,
-    sgd: SgdConfig,
-    policy: BackoffPolicy,
-) -> Result<TcpTaskReport, IplsError> {
-    let topo = Arc::new(Topology::new(cfg.clone(), initial_params.len())?);
-    if datasets.len() != cfg.trainers {
-        return Err(IplsError::InvalidConfig(format!(
-            "{} datasets for {} trainers",
-            datasets.len(),
-            cfg.trainers
-        )));
-    }
-    if model.param_count() != initial_params.len() {
-        return Err(IplsError::InvalidConfig(
-            "model parameter count does not match initial parameters".to_string(),
-        ));
-    }
-
-    let key = cfg.verifiable.then(|| {
-        Arc::new(ipls::gradient::derive_key(
-            topo.max_partition_len(),
-            cfg.seed,
-            cfg.commit_precompute,
-        ))
-    });
-    let sink: ParamSink = Arc::new(Mutex::new(HashMap::new()));
-
-    // Same node-id layout as the simulator: directory, storage nodes,
-    // aggregators, trainers.
-    let mut cores: Vec<Box<dyn ProtocolCore<Msg = Msg> + Send>> = Vec::new();
-    cores.push(Box::new(Directory::new(topo.clone(), key.clone())));
-    let roster = IpfsNode::roster_for(&topo.ipfs_ids());
-    for k in 0..cfg.ipfs_nodes {
-        let mut node = IpfsNode::new(topo.ipfs_node(k), roster.clone());
-        node.set_retry_policy(RetryPolicy {
-            base_timeout: cfg.fetch_timeout,
-            ..RetryPolicy::default()
-        });
-        cores.push(Box::new(IpfsCore::<Msg>::new(node)));
-    }
-    for g in 0..cfg.total_aggregators() {
-        cores.push(Box::new(Aggregator::new(
-            g,
-            topo.clone(),
-            key.clone(),
-            Behavior::Honest,
-        )));
-    }
-    for (t, dataset) in datasets.into_iter().enumerate() {
-        cores.push(Box::new(Trainer::new(
-            t,
-            topo.clone(),
-            key.clone(),
-            model.clone(),
-            initial_params.clone(),
-            dataset,
-            sgd,
-            sink.clone(),
-        )));
-    }
-    debug_assert_eq!(cores.len(), topo.node_count());
-
-    // The fault plan must reference real nodes (same check as the netsim
-    // runner).
-    for node in cfg.fault_plan.nodes() {
-        if node.index() >= cores.len() {
-            return Err(IplsError::InvalidConfig(format!(
-                "fault plan references node {} but the deployment has {}",
-                node.index(),
-                cores.len()
-            )));
-        }
-    }
-
     let deadline =
         Duration::from_micros(cfg.t_sync.as_micros() * cfg.rounds) + Duration::from_secs(60);
 
-    let faults = Arc::new(NetFaults::new(cores.len()));
+    // Bind every node's listener first so the address table is complete
+    // before any core runs. Listeners stay bound for the whole run — a
+    // crashed node keeps its port (rebinding an ephemeral port would
+    // race), and "restart" clears the down flag.
+    let io_error = |what: &str, e: std::io::Error| IplsError::InvalidConfig(format!("{what}: {e}"));
+    let listeners = (0..nodes)
+        .map(|_| TcpListener::bind("127.0.0.1:0"))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| io_error("bind", e))?;
+    let addrs = listeners
+        .iter()
+        .map(TcpListener::local_addr)
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| io_error("local_addr", e))?;
+    let shared = Arc::new(Shared::new(
+        addrs,
+        nodes - cfg.trainers,
+        cfg.trainers,
+        cfg.rounds,
+    ));
+    let faults = Arc::new(NetFaults::new(nodes));
     let stats = Arc::new(DeliveryStats::default());
 
-    let rt = tokio::runtime::Runtime::new()
-        .map_err(|e| IplsError::InvalidConfig(format!("runtime: {e}")))?;
-    let run = rt.block_on(async {
-        // Bind every node's listener first so the address table is
-        // complete before any core runs. Listeners stay bound for the
-        // whole run — a crashed node keeps its port (rebinding an
-        // ephemeral port would race), and "restart" clears the down flag.
-        let mut listeners = Vec::with_capacity(cores.len());
-        let mut addrs = Vec::with_capacity(cores.len());
-        for _ in 0..cores.len() {
-            let listener = tokio::net::TcpListener::bind("127.0.0.1:0")
-                .await
-                .map_err(|e| IplsError::InvalidConfig(format!("bind: {e}")))?;
-            addrs.push(
-                listener
-                    .local_addr()
-                    .map_err(|e| IplsError::InvalidConfig(format!("local_addr: {e}")))?,
-            );
-            listeners.push(listener);
-        }
-        let shared = Arc::new(Shared::new(addrs));
+    // Channels first: the fault driver needs every node's sender before
+    // any node runs.
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..nodes).map(|_| mpsc::channel()).unzip();
+    if !cfg.fault_plan.is_empty() {
+        let plan = cfg.fault_plan.clone();
+        let epoch = shared.epoch;
+        let driver_faults = faults.clone();
+        let driver_txs = txs.clone();
+        let driver_shutdown = shared.shutdown.clone();
+        std::thread::spawn(move || {
+            fault::drive_plan(plan, epoch, driver_faults, driver_txs, driver_shutdown)
+        });
+    }
 
-        // Channels first: the fault driver needs every node's sender
-        // before any node runs.
-        let channels: Vec<_> = (0..cores.len()).map(|_| mpsc::channel()).collect();
-        if !cfg.fault_plan.is_empty() {
-            let plan = cfg.fault_plan.clone();
-            let epoch = shared.epoch;
-            let driver_faults = faults.clone();
-            let txs: Vec<_> = channels.iter().map(|(tx, _)| tx.clone()).collect();
-            let driver_shutdown = shared.shutdown.clone();
-            std::thread::spawn(move || {
-                fault::drive_plan(plan, epoch, driver_faults, txs, driver_shutdown)
-            });
-        }
+    let mut threads = Vec::with_capacity(nodes);
+    for (index, ((core, listener), rx)) in cores.into_iter().zip(listeners).zip(rxs).enumerate() {
+        let me = NodeId(index);
+        let tx = txs[index].clone();
+        let acceptor_tx = tx.clone();
+        let acceptor_shared = shared.clone();
+        std::thread::spawn(move || accept_loop(listener, acceptor_tx, acceptor_shared));
+        let ctx = NodeCtx {
+            me,
+            senders: HashMap::new(),
+            timers: Timers::default(),
+            tx,
+            shared: shared.clone(),
+            faults: faults.clone(),
+            stats: stats.clone(),
+            policy,
+        };
+        threads.push(std::thread::spawn(move || node_loop(me, core, rx, ctx)));
+    }
 
-        let mut nodes = Vec::with_capacity(cores.len());
-        for (index, ((core, listener), (tx, rx))) in
-            cores.into_iter().zip(listeners).zip(channels).enumerate()
-        {
-            let me = NodeId(index);
-            let std_listener = listener
-                .into_std()
-                .map_err(|e| IplsError::InvalidConfig(format!("listener: {e}")))?;
-            let acceptor_tx = tx.clone();
-            let acceptor_shared = shared.clone();
-            tokio::task::spawn_blocking(move || {
-                accept_loop(std_listener, acceptor_tx, acceptor_shared)
-            });
-            let ctx = NodeCtx {
-                me,
-                senders: HashMap::new(),
-                wheel: TimerWheel::spawn(tx.clone()),
-                tx,
-                shared: shared.clone(),
-                faults: faults.clone(),
-                stats: stats.clone(),
-                policy,
-            };
-            nodes.push(tokio::task::spawn_blocking(move || {
-                node_loop(me, core, rx, ctx)
-            }));
-        }
+    let done = shared.wait_done(&faults, deadline);
 
-        let waiter_shared = shared.clone();
-        let completed = tokio::task::spawn_blocking(move || waiter_shared.wait_done(deadline))
-            .await
-            .expect("completion waiter");
+    // Stop the fault driver and the acceptors, wake every node loop, and
+    // poke every listener so blocked accept() calls observe the flag.
+    shared.shutdown.store(true, Ordering::Relaxed);
+    for tx in &txs {
+        let _ = tx.send(NodeEvent::Stop);
+    }
+    for addr in &shared.addrs {
+        let _ = TcpStream::connect(*addr);
+    }
+    for thread in threads {
+        let _ = thread.join();
+    }
 
-        // Stop the node loops, then poke every listener so blocked
-        // accept() calls observe the flag and exit.
-        shared.shutdown.store(true, Ordering::Relaxed);
-        for addr in &shared.addrs {
-            let _ = std::net::TcpStream::connect(*addr);
-        }
-        for node in nodes {
-            let _ = node.await;
-        }
-        Ok::<_, IplsError>((completed, shared))
-    })?;
-    let (done, shared) = run;
-    let completed_rounds = shared.completed_rounds.load(Ordering::Relaxed);
+    let records: Vec<_> = shared.records.iter().map(|m| lock(m).clone()).collect();
+    let completed_rounds = records
+        .iter()
+        .filter_map(|node| node.get(labels::ROUND_COMPLETE))
+        .sum();
     if !done {
         return Err(IplsError::RoundFailed {
             round: completed_rounds,
             reason: format!("TCP task missed its completion deadline ({deadline:?})"),
         });
     }
-
     let final_params = lock(&sink).clone();
     Ok(TcpTaskReport {
         final_params,
         completed_rounds,
         counters: shared.counters.iter().map(|m| lock(m).clone()).collect(),
-        records: shared.records.iter().map(|m| lock(m).clone()).collect(),
-        observations: shared
-            .observations
-            .iter()
-            .map(|m| lock(m).clone())
-            .collect(),
+        records,
         delivery: stats.snapshot(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tokens(timers: &mut Timers, rx: &mpsc::Receiver<NodeEvent>, n: usize) -> Vec<u64> {
+        (0..n)
+            .map(|_| match timers.next_event(rx) {
+                Some(NodeEvent::Timer { token }) => token,
+                _ => panic!("expected a timer"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn timers_fire_in_deadline_order() {
+        let (_tx, rx) = mpsc::channel();
+        let mut timers = Timers::default();
+        let now = Instant::now();
+        timers.arm(now + Duration::from_millis(30), 3);
+        timers.arm(now + Duration::from_millis(10), 1);
+        timers.arm(now + Duration::from_millis(20), 2);
+        assert_eq!(tokens(&mut timers, &rx, 3), vec![1, 2, 3]);
+        assert!(Instant::now() >= now + Duration::from_millis(30));
+        assert_eq!(timers.pop_due(Instant::now()), None);
+    }
+
+    #[test]
+    fn same_deadline_timers_fire_in_arming_order() {
+        let (_tx, rx) = mpsc::channel();
+        let mut timers = Timers::default();
+        let now = Instant::now();
+        for token in 0..8 {
+            timers.arm(now, token);
+        }
+        assert_eq!(tokens(&mut timers, &rx, 8), (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_due_timer_fires_before_queued_frames() {
+        let (tx, rx) = mpsc::channel();
+        let mut timers = Timers::default();
+        tx.send(NodeEvent::Stop).unwrap();
+        timers.arm(Instant::now(), 7);
+        assert!(matches!(
+            timers.next_event(&rx),
+            Some(NodeEvent::Timer { token: 7 })
+        ));
+        assert!(matches!(timers.next_event(&rx), Some(NodeEvent::Stop)));
+    }
+
+    #[test]
+    fn the_run_waits_for_every_live_trainer_to_finish_the_last_round() {
+        // Node 0 is the directory, node 1 the only trainer; two rounds.
+        let faults = NetFaults::new(2);
+        let any = SocketAddr::from(([127, 0, 0, 1], 0));
+        let shared = Shared::new(vec![any; 2], 1, 1, 2);
+        shared.record(NodeId(0), labels::TASK_COMPLETE, 2.0);
+        shared.record(NodeId(1), labels::TRAINER_ROUND_DONE, 0.0);
+
+        // A live trainer short of the last round holds the run open until
+        // the deadline; the task still counts as complete.
+        let wait = Duration::from_millis(50);
+        let started = Instant::now();
+        assert!(shared.wait_done(&faults, wait));
+        assert!(started.elapsed() >= wait);
+
+        // The same trainer marked down does not.
+        faults.apply(&Fault::Crash(NodeId(1)));
+        let started = Instant::now();
+        assert!(shared.wait_done(&faults, Duration::from_secs(60)));
+        assert!(started.elapsed() < Duration::from_secs(30));
+
+        // Nor does it once it finished the last round.
+        faults.apply(&Fault::Recover(NodeId(1)));
+        shared.record(NodeId(1), labels::TRAINER_ROUND_DONE, 1.0);
+        assert!(shared.wait_done(&faults, Duration::from_secs(60)));
+    }
 }

@@ -93,3 +93,49 @@ fn tcp_run_matches_netsim_model_bytes() {
         "healthy run must not degrade quorum"
     );
 }
+
+#[test]
+fn lossy_storage_behaves_the_same_on_both_backends() {
+    // A lossy storage node discards everything it is asked to store, so
+    // reads that reach it miss and fall back to a provider lookup. Both
+    // backends build their nodes from one deployment, so the socket run
+    // must see the same misses and lookups as the simulator.
+    let cfg = TaskConfig {
+        lossy_ipfs_nodes: vec![0],
+        replication: 2,
+        ..task_config()
+    };
+    let dataset = data::make_blobs(64, 2, 2, 0.5, 1);
+    let clients = data::partition_iid(&dataset, cfg.trainers, 0);
+    let model = LogisticRegression::new(2, 2);
+    let params = model.params();
+    let sgd = SgdConfig::default();
+
+    let sim = run_task(
+        cfg.clone(),
+        model.clone(),
+        params.clone(),
+        clients.clone(),
+        sgd,
+        &[],
+    )
+    .expect("netsim run");
+    assert!(sim.succeeded(&cfg), "netsim run must complete");
+    let tcp = run_task_over_tcp(cfg.clone(), model, params, clients, sgd).expect("TCP run");
+    assert_eq!(tcp.completed_rounds, cfg.rounds);
+
+    let bits = |p: Vec<f32>| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(tcp.consensus_params().expect("TCP trainers agree")),
+        bits(sim.consensus_params().expect("netsim trainers agree")),
+        "TCP and netsim final model bytes differ"
+    );
+    for label in ["ipfs/cache_misses", "ipfs/provider_lookups"] {
+        assert!(sim.trace.counter(label) > 0, "{label} must be exercised");
+        assert_eq!(
+            tcp.counter(label),
+            sim.trace.counter(label),
+            "{label} differs between the backends"
+        );
+    }
+}

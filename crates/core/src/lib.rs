@@ -26,7 +26,7 @@
 //! actions: [`runner::run_task`] drives the cores inside the deterministic
 //! network simulator and reports the delay metrics of §V, while the
 //! `dfl-backend-tokio` crate drives the identical cores over real TCP
-//! sockets.
+//! sockets. Both take their cores from [`runner::deployment`].
 //!
 //! ```
 //! use dfl_ml::{data, LogisticRegression, Model, SgdConfig};

@@ -26,7 +26,8 @@
 //! 2. Execute the drained actions of one `handle` call **in push order**
 //!    before delivering the next event to the same core.
 //! 3. Never reorder or drop actions of a live node (a crashed node's
-//!    actions may be discarded wholesale, as netsim does).
+//!    actions may be discarded wholesale, as netsim does; a backend that
+//!    keeps no histograms, like the socket backend, ignores `Observe`).
 
 use dfl_ipfs::{IpfsNode, Outgoing, WireEmbed};
 use dfl_netsim::{Actor, Context, Fault, NodeId, SimDuration, SimTime};
@@ -183,6 +184,14 @@ pub trait ProtocolCore {
         event: ProtocolEvent<Self::Msg>,
         out: &mut Actions<Self::Msg>,
     );
+}
+
+impl<C: ProtocolCore + ?Sized> ProtocolCore for Box<C> {
+    type Msg = C::Msg;
+
+    fn handle(&mut self, now: SimTime, event: ProtocolEvent<C::Msg>, out: &mut Actions<C::Msg>) {
+        (**self).handle(now, event, out);
+    }
 }
 
 /// Wire-cost metadata a netsim backend needs from a message type: how many

@@ -16,7 +16,7 @@ use crate::error::IplsError;
 use crate::gradient::{derive_key, ProtocolKey};
 use crate::labels;
 use crate::messages::Msg;
-use crate::protocol::{IpfsCore, NetsimAdapter};
+use crate::protocol::{IpfsCore, NetsimAdapter, ProtocolCore};
 use crate::trainer::{ParamSink, Trainer};
 use crate::Aggregator;
 
@@ -122,7 +122,19 @@ impl TaskReport {
     }
 }
 
-/// Runs a full task and reports its metrics.
+/// A validated deployment, ready for a backend to drive.
+pub struct Deployment {
+    /// The task's node layout.
+    pub topology: Arc<Topology>,
+    /// One core per node, in node-id order: directory, storage nodes,
+    /// aggregators, trainers.
+    pub cores: Vec<Box<dyn ProtocolCore<Msg = Msg> + Send>>,
+    /// Where trainers publish their final parameters.
+    pub sink: ParamSink,
+}
+
+/// Validates a task against its inputs and builds every node's protocol
+/// core. Both backends drive the result unchanged.
 ///
 /// `datasets[t]` is trainer `t`'s local data; `behaviors` overrides the
 /// behaviour of specific aggregators by global index (all others honest).
@@ -130,16 +142,17 @@ impl TaskReport {
 /// # Errors
 ///
 /// Returns an error when the configuration is invalid or inconsistent with
-/// the model/datasets.
-pub fn run_task<M: Model + Clone + 'static>(
+/// the model, datasets, behaviors or fault plan.
+pub fn deployment<M: Model + Clone + 'static>(
     cfg: TaskConfig,
     model: M,
     initial_params: Vec<f32>,
     datasets: Vec<Dataset>,
     sgd: SgdConfig,
     behaviors: &[(usize, Behavior)],
-) -> Result<TaskReport, IplsError> {
-    let topo = Arc::new(Topology::new(cfg.clone(), initial_params.len())?);
+) -> Result<Deployment, IplsError> {
+    let topo = Arc::new(Topology::new(cfg, initial_params.len())?);
+    let cfg = topo.config();
     if datasets.len() != cfg.trainers {
         return Err(IplsError::InvalidConfig(format!(
             "{} datasets for {} trainers",
@@ -176,25 +189,10 @@ pub fn run_task<M: Model + Clone + 'static>(
             cfg.commit_precompute,
         ))
     });
-
-    let mut sim: Simulation<Msg> = Simulation::new();
-    sim.set_reference_allocator(cfg.reference_allocator);
-    // Generous stop-gap: a stalled round ends the simulation at the limit.
-    let limit_us = (cfg.t_sync.as_micros() + 120_000_000) * cfg.rounds;
-    sim.set_time_limit(SimTime::from_micros(limit_us));
-
-    let link = cfg.link();
     let sink: ParamSink = Arc::new(Mutex::new(HashMap::new()));
 
-    // Node 0: the directory (bootstrapper).
-    let dir_id = sim.add_node(
-        NetsimAdapter::new(Directory::new(topo.clone(), key.clone())),
-        link,
-    );
-    assert_eq!(dir_id, topo.directory());
-
-    // Storage nodes (possibly on faster infrastructure links).
-    let ipfs_link = cfg.ipfs_link();
+    let mut cores: Vec<Box<dyn ProtocolCore<Msg = Msg> + Send>> = Vec::with_capacity(node_count);
+    cores.push(Box::new(Directory::new(topo.clone(), key.clone())));
     let roster = IpfsNode::roster_for(&topo.ipfs_ids());
     for k in 0..cfg.ipfs_nodes {
         let mut node = IpfsNode::new(topo.ipfs_node(k), roster.clone());
@@ -205,47 +203,79 @@ pub fn run_task<M: Model + Clone + 'static>(
         if cfg.lossy_ipfs_nodes.contains(&k) {
             node.set_lossy(true);
         }
-        let id = sim.add_node(NetsimAdapter::new(IpfsCore::new(node)), ipfs_link);
-        assert_eq!(id, topo.ipfs_node(k));
+        cores.push(Box::new(IpfsCore::new(node)));
     }
-
-    // Aggregators.
-    let behavior_of = |g: usize| {
-        behaviors
+    for g in 0..cfg.total_aggregators() {
+        let behavior = behaviors
             .iter()
             .find(|(i, _)| *i == g)
-            .map(|(_, b)| *b)
-            .unwrap_or(Behavior::Honest)
-    };
-    for g in 0..cfg.total_aggregators() {
-        let id = sim.add_node(
-            NetsimAdapter::new(Aggregator::new(
-                g,
-                topo.clone(),
-                key.clone(),
-                behavior_of(g),
-            )),
-            link,
-        );
-        assert_eq!(id, topo.aggregator(g));
+            .map_or(Behavior::Honest, |(_, b)| *b);
+        cores.push(Box::new(Aggregator::new(
+            g,
+            topo.clone(),
+            key.clone(),
+            behavior,
+        )));
     }
-
-    // Trainers.
     for (t, dataset) in datasets.into_iter().enumerate() {
-        let id = sim.add_node(
-            NetsimAdapter::new(Trainer::new(
-                t,
-                topo.clone(),
-                key.clone(),
-                model.clone(),
-                initial_params.clone(),
-                dataset,
-                sgd,
-                sink.clone(),
-            )),
-            link,
-        );
-        assert_eq!(id, topo.trainer(t));
+        cores.push(Box::new(Trainer::new(
+            t,
+            topo.clone(),
+            key.clone(),
+            model.clone(),
+            initial_params.clone(),
+            dataset,
+            sgd,
+            sink.clone(),
+        )));
+    }
+    debug_assert_eq!(cores.len(), node_count);
+    Ok(Deployment {
+        topology: topo,
+        cores,
+        sink,
+    })
+}
+
+/// Runs a full task inside the network simulator and reports its metrics.
+///
+/// Arguments are those of [`deployment`].
+///
+/// # Errors
+///
+/// Returns an error when the configuration is invalid or inconsistent with
+/// the model/datasets.
+pub fn run_task<M: Model + Clone + 'static>(
+    cfg: TaskConfig,
+    model: M,
+    initial_params: Vec<f32>,
+    datasets: Vec<Dataset>,
+    sgd: SgdConfig,
+    behaviors: &[(usize, Behavior)],
+) -> Result<TaskReport, IplsError> {
+    let Deployment {
+        topology: topo,
+        cores,
+        sink,
+    } = deployment(cfg, model, initial_params, datasets, sgd, behaviors)?;
+    let cfg = topo.config();
+
+    let mut sim: Simulation<Msg> = Simulation::new();
+    sim.set_reference_allocator(cfg.reference_allocator);
+    // Generous stop-gap: a stalled round ends the simulation at the limit.
+    let limit_us = (cfg.t_sync.as_micros() + 120_000_000) * cfg.rounds;
+    sim.set_time_limit(SimTime::from_micros(limit_us));
+
+    // Storage nodes may sit on faster infrastructure links.
+    let (link, ipfs_link) = (cfg.link(), cfg.ipfs_link());
+    for (i, core) in cores.into_iter().enumerate() {
+        let link = if (1..=cfg.ipfs_nodes).contains(&i) {
+            ipfs_link
+        } else {
+            link
+        };
+        let id = sim.add_node(NetsimAdapter::new(core), link);
+        debug_assert_eq!(id, NodeId(i));
     }
 
     sim.apply_fault_plan(&cfg.fault_plan);
